@@ -1,0 +1,8 @@
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2]))
+
+from perfbench import harness  # noqa: E402
+
+harness.require_program()
