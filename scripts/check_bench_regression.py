@@ -1,247 +1,139 @@
-"""Gate benchmark manifests against the committed baselines.
+"""Gate benchmark manifests against the committed performance store.
 
-The CI ``bench-regression`` job runs the fig3/fig6 benches with
-``SIEVE_BENCH_MANIFEST_DIR`` set, then runs this script to diff every
-fresh ``BENCH_<figure>.json`` against ``benchmarks/baselines/``: it
-fails (exit 1) on a >25% per-stage or total wall-time slowdown, on any
-accuracy drift beyond float tolerance, or on a missing manifest.
+Each CI regression job runs a bench or smoke N times with
+``SIEVE_BENCH_MANIFEST_DIR`` set (run 1 writes ``BENCH_<figure>.json``,
+runs 2..N are renamed to ``BENCH_<figure>.<i>.json``) and then runs
+this script. For each figure it gates the N current runs against every
+stored run of the baseline version with
+:func:`repro.perfstore.gate.gate_manifests`:
 
-The ``service-smoke`` job reuses the same gate for the sampling
-service's loadgen manifest (``--figures service``) with wider wall-time
-tolerances — service latency on shared runners is noisy, so that gate
-leans on the manifest's deterministic aggregates (request/status
-counts) and served prediction errors.
+* wall times (total and per stage) by rank test plus a practical floor
+  (``--min-ratio``, ``--min-seconds``), or the labeled single-sample
+  fallback (``--max-slowdown``) when a side has one run;
+* seed-deterministic fields (every workload ``*_error``, every numeric
+  aggregate) exactly, in both directions, whatever the run count.
+
+It exits 1 when a figure regresses or drifts, or when its current runs
+or its stored baseline are missing.
+
+The baseline store defaults to the committed ``benchmarks/perfstore``
+snapshot; the baseline version is ``--against REV`` or, per figure, the
+newest stored version that has that figure. To refresh a baseline, run
+the CI recipe (discarded warm-up, then at least three runs) on the new
+reference commit and record the runs into the snapshot::
+
+    sieve-repro perf ingest --store benchmarks/perfstore \\
+        --figure fig3 BENCH_fig3.json BENCH_fig3.2.json BENCH_fig3.3.json
 
 Usage::
 
     PYTHONPATH=src python scripts/check_bench_regression.py \\
-        --current-dir /tmp/manifests [--figures fig3 fig6]
+        --current-dir /tmp/manifests --figures fig3 fig6 --repeat 3
     PYTHONPATH=src python scripts/check_bench_regression.py \\
-        --current-dir service-manifests --figures service \\
-        --max-slowdown 5.0 --min-seconds 0.25
-    PYTHONPATH=src python scripts/check_bench_regression.py \\
-        --current-dir /tmp/manifests --write-baseline   # refresh baselines
+        --current-dir service-manifests --figures service --repeat 3 \\
+        --min-ratio 5.0 --min-seconds 0.25
     PYTHONPATH=src python scripts/check_bench_regression.py --self-test
 
-``--repeat N`` reduces wall-time noise on shared runners: the bench is
-run N times (each writing ``BENCH_<figure>.json``, then
-``BENCH_<figure>.2.json`` ... ``BENCH_<figure>.N.json`` into
-``--current-dir``) and the gate diffs the element-wise best (or, with
-``--repeat-reduce median``, median) of the runs' wall times — accuracy
-fields always come from the first run, which repeats must reproduce
-exactly anyway. The CI ``scale-bench`` job uses ``--repeat 3``.
-
-``--store DIR`` switches the gate onto the performance version store:
-every repeat run is ingested *unreduced* under the current commit and
-the gate becomes statistical (Mann-Whitney rank test + practical floor
-over the run distributions) instead of a single-sample ratio check. The
-baseline comes from ``--against REV`` (or the newest other stored
-version) in ``--baseline-store`` (default: the same store), falling back
-to the committed ``benchmarks/baselines/`` manifest when the store has
-nothing to offer.
-
-``--self-test`` proves the gate has teeth on both paths: it synthesizes
-a current run 2x slower than the baseline and exits 0 only if the
-checker flags it, and it checks the statistical gate flags a 2x-slower
-trio of runs while letting a same-distribution trio pass.
+``--self-test`` proves the gate has teeth on each figure's stored
+baseline runs, at n=1 and n=3 current runs: an injected 2x wall
+slowdown must fail, jittered same-speed reruns must pass, and injected
+deterministic drift must fail — one workload ``*_error`` x1.005, and one
+aggregate moved the way a lower-is-better test would wave through
+(``picks_identical`` 1 -> 0, ``sieve_hmean`` x0.5, ``http_2xx`` 96 -> 90).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import statistics
 import sys
 from pathlib import Path
 
-from repro.observability.manifest import (
-    RunManifest,
-    diff_manifests,
-    regression_failures,
+from repro.observability.manifest import RunManifest
+from repro.perfstore import (
+    PerfStore,
+    current_version,
+    gate_manifests,
+    render_gate_report,
 )
-from repro.observability.report import render_diff
+from repro.utils.errors import PerfStoreError
 
-BASELINE_DIR = Path(__file__).resolve().parent.parent / "benchmarks/baselines"
-DEFAULT_FIGURES = ("fig3", "fig6")
+BASELINE_STORE = Path(__file__).resolve().parent.parent / "benchmarks/perfstore"
+GATED_FIGURES = ("fig3", "fig6", "scale", "service", "streaming")
+
+#: Deterministic ±3% run-to-run jitter for the self-test's reruns.
+_RERUN_JITTER = (0.98, 1.01, 1.02)
+
+#: Self-test aggregate drift per figure: (aggregate, factor). Each moves
+#: the value *down*, which a lower-is-better wall test reads as better.
+_AGGREGATE_DRIFT = {
+    "fig3": ("sieve_avg", 0.5),
+    "fig6": ("sieve_hmean", 0.5),
+    "scale": ("num_strata", 0.5),
+    "service": ("http_2xx", 90 / 96),
+    "streaming": ("picks_identical", 0.0),
+}
 
 
-def _load(directory: Path, figure: str) -> RunManifest | None:
-    path = directory / f"BENCH_{figure}.json"
-    if not path.exists():
-        return None
-    return RunManifest.load(path)
-
-
-def _repeat_paths(directory: Path, figure: str, repeat: int) -> list[Path]:
-    """Manifest paths for run 1..N (run 1 keeps the unsuffixed name)."""
-    return [
+def _current_runs(directory: Path, figure: str, repeat: int) -> list[RunManifest]:
+    """Runs 1..``repeat`` (run 1 keeps the unsuffixed name); all must exist."""
+    paths = [
         directory / (f"BENCH_{figure}.json" if i == 1 else f"BENCH_{figure}.{i}.json")
         for i in range(1, repeat + 1)
     ]
+    missing = [path.name for path in paths if not path.exists()]
+    if missing:
+        print(f"[{figure}] missing current manifest(s) in {directory}: "
+              f"{', '.join(missing)}; did the bench run with "
+              f"SIEVE_BENCH_MANIFEST_DIR set?")
+        return []
+    return [RunManifest.load(path) for path in paths]
 
 
-def _reduce_manifests(runs: list[RunManifest], mode: str) -> RunManifest:
-    """Fold N runs into one by reducing wall times element-wise.
+def _baseline_runs(
+    store: PerfStore, against: str | None, figure: str
+) -> tuple[str, list[RunManifest]]:
+    """``(version label, runs)`` of the baseline version for ``figure``."""
+    version = store.resolve(against) if against else store.latest_version(figure)
+    if version is None:
+        return "", []
+    return version[:12], [run.manifest for run in store.runs(version, figure)]
 
-    ``mode`` is ``best`` (min) or ``median``. Everything that is not a
-    wall-clock measurement — accuracy rows, aggregates, metrics — comes
-    from the first run; the pipeline is seed-deterministic, so repeats
-    only differ in timings.
-    """
-    if len(runs) == 1:
-        return runs[0]
-    reduce = min if mode == "best" else statistics.median
-    first = runs[0]
-    stages = []
-    for stage in first.stages:
-        others = [
-            other.stage(stage.name)
-            for other in runs[1:]
-            if other.stage(stage.name) is not None
-        ]
-        stages.append(
-            dataclasses.replace(
-                stage,
-                wall_s=reduce([stage.wall_s, *(o.wall_s for o in others)]),
-                self_s=reduce([stage.self_s, *(o.self_s for o in others)]),
-            )
-        )
-    return dataclasses.replace(
-        first,
-        total_wall_s=reduce([run.total_wall_s for run in runs]),
-        total_cpu_s=reduce([run.total_cpu_s for run in runs]),
-        stages=tuple(stages),
+
+def _gate(args, baseline: list[RunManifest], current: list[RunManifest], **labels):
+    return gate_manifests(
+        baseline,
+        current,
+        alpha=args.alpha,
+        min_ratio=args.min_ratio,
+        min_seconds=args.min_seconds,
+        fallback_slowdown=args.max_slowdown,
+        **labels,
     )
-
-
-def _load_current(args, figure: str) -> RunManifest | None:
-    """The current manifest for ``figure``, reduced over ``--repeat`` runs."""
-    if args.repeat <= 1:
-        return _load(args.current_dir, figure)
-    runs = []
-    for path in _repeat_paths(args.current_dir, figure, args.repeat):
-        if not path.exists():
-            print(f"[{figure}] --repeat {args.repeat}: missing {path.name}; "
-                  f"using the {len(runs)} run(s) found")
-            break
-        runs.append(RunManifest.load(path))
-    if not runs:
-        return None
-    return _reduce_manifests(runs, args.repeat_reduce)
 
 
 def _check(args) -> int:
+    store = PerfStore(args.baseline_store)
+    current_label = current_version()[:12]
     failures = 0
     for figure in args.figures:
-        baseline = _load(args.baseline_dir, figure)
-        current = _load_current(args, figure)
-        if baseline is None:
-            print(f"[{figure}] no baseline in {args.baseline_dir}; "
-                  f"run with --write-baseline to create one")
+        current = _current_runs(args.current_dir, figure, args.repeat)
+        try:
+            label, baseline = _baseline_runs(store, args.against, figure)
+        except PerfStoreError as exc:
+            print(f"[{figure}] {exc}")
+            label, baseline = "", []
+        if not baseline:
+            print(f"[{figure}] no stored baseline runs in {store.root}")
+        if not (current and baseline):
             failures += 1
             continue
-        if current is None:
-            print(f"[{figure}] no current manifest in {args.current_dir}; "
-                  f"did the bench run with SIEVE_BENCH_MANIFEST_DIR set?")
-            failures += 1
-            continue
-        regressions = diff_manifests(
+        report = _gate(
+            args,
             baseline,
             current,
-            max_slowdown=args.max_slowdown,
-            min_seconds=args.min_seconds,
-        )
-        print(f"=== {figure} ===")
-        print(render_diff(baseline, current, regressions))
-        print()
-        if regression_failures(regressions):
-            failures += 1
-    if failures:
-        print(f"FAIL: {failures} figure(s) regressed or missing")
-        return 1
-    print(f"OK: {len(args.figures)} figure(s) within tolerance")
-    return 0
-
-
-def _current_runs(args, figure: str) -> list[RunManifest]:
-    """All current repeat manifests for ``figure``, unreduced."""
-    runs = []
-    for path in _repeat_paths(args.current_dir, figure, max(args.repeat, 1)):
-        if not path.exists():
-            break
-        runs.append(RunManifest.load(path))
-    return runs
-
-
-def _check_store(args) -> int:
-    """Statistical gate: ingest the repeats, compare run distributions."""
-    from repro.perfstore import (
-        PerfStore,
-        current_version,
-        gate_manifests,
-        render_gate_report,
-    )
-    from repro.utils.errors import PerfStoreError
-
-    store = PerfStore(args.store)
-    baseline_store = (
-        PerfStore(args.baseline_store) if args.baseline_store else store
-    )
-    version = current_version()
-    failures = 0
-    for figure in args.figures:
-        runs = _current_runs(args, figure)
-        if not runs:
-            print(f"[{figure}] no current manifest in {args.current_dir}; "
-                  f"did the bench run with SIEVE_BENCH_MANIFEST_DIR set?")
-            failures += 1
-            continue
-        for manifest in runs:
-            store.ingest(manifest, figure=figure, version=version)
-        print(f"[{figure}] recorded {len(runs)} run(s) for "
-              f"{version[:12]} into {store.root}")
-
-        baseline_runs: list[RunManifest] = []
-        label = ""
-        if args.against:
-            try:
-                rev = baseline_store.resolve(args.against)
-                baseline_runs = [
-                    run.manifest for run in baseline_store.runs(rev, figure)
-                ]
-                label = rev[:12]
-            except PerfStoreError as exc:
-                print(f"[{figure}] {exc}")
-        else:
-            for rev in reversed(baseline_store.versions()):
-                if rev == version or figure not in baseline_store.figures(rev):
-                    continue
-                baseline_runs = [
-                    run.manifest for run in baseline_store.runs(rev, figure)
-                ]
-                label = rev[:12]
-                break
-        if not baseline_runs:
-            fallback = _load(args.baseline_dir, figure)
-            if fallback is None:
-                print(f"[{figure}] no stored baseline and no committed "
-                      f"manifest in {args.baseline_dir}")
-                failures += 1
-                continue
-            print(f"[{figure}] no stored baseline; falling back to the "
-                  f"committed single-sample manifest")
-            baseline_runs = [fallback]
-            label = str(args.baseline_dir / f"BENCH_{figure}.json")
-
-        report = gate_manifests(
-            baseline_runs,
-            runs,
-            alpha=args.alpha,
-            min_ratio=args.min_ratio,
-            min_seconds=args.min_seconds,
-            fallback_slowdown=args.max_slowdown,
             baseline_label=label,
-            current_label=version[:12],
+            current_label=current_label,
             figure=figure,
         )
         print(f"=== {figure} ===")
@@ -256,174 +148,147 @@ def _check_store(args) -> int:
     return 0
 
 
-def _write_baseline(args) -> int:
-    args.baseline_dir.mkdir(parents=True, exist_ok=True)
-    written = 0
-    for figure in args.figures:
-        current = _load_current(args, figure)
-        if current is None:
-            print(f"[{figure}] no manifest in {args.current_dir}; skipped")
-            continue
-        path = current.save(args.baseline_dir / f"BENCH_{figure}.json")
-        print(f"wrote {path}")
-        written += 1
-    return 0 if written == len(args.figures) else 1
-
-
-def _slowed(manifest: RunManifest, factor: float) -> RunManifest:
-    """A synthetic manifest whose every wall time is ``factor``x slower."""
+def _scaled(manifest: RunManifest, factor: float) -> RunManifest:
+    """A synthetic run whose every wall time is ``factor``x the original."""
     return dataclasses.replace(
         manifest,
         total_wall_s=manifest.total_wall_s * factor,
         stages=tuple(
             dataclasses.replace(
-                stage,
-                wall_s=stage.wall_s * factor,
-                self_s=stage.self_s * factor,
+                stage, wall_s=stage.wall_s * factor, self_s=stage.self_s * factor
             )
             for stage in manifest.stages
         ),
     )
 
 
-#: Deterministic ±3% run-to-run jitter for the statistical self-test:
-#: two samples drawn from "the same machine on a good day".
-_BASE_JITTER = (0.97, 1.00, 1.03)
-_RERUN_JITTER = (0.98, 1.01, 1.02)
+def _error_drift(manifest: RunManifest, key: tuple[str, str]) -> RunManifest:
+    workload, field = key
+    rows = tuple(
+        {**row, field: row[field] * 1.005} if row.get("workload") == workload else row
+        for row in manifest.workloads
+    )
+    return dataclasses.replace(manifest, workloads=rows)
+
+
+def _aggregate_drift(manifest: RunManifest, key: str, factor: float) -> RunManifest:
+    return dataclasses.replace(
+        manifest, aggregates={**manifest.aggregates, key: manifest.aggregates[key] * factor}
+    )
+
+
+def _self_test_cases(figure: str, runs: list[RunManifest]):
+    """``(label, transform, failing kinds)``; empty kinds = must pass."""
+    walls = {"total-wall", "stage-wall"}
+    yield "2x wall slowdown", lambda m, j: _scaled(m, 2.0 * j), walls
+    yield "jittered same-speed reruns", _scaled, set()
+    row = runs[0].workloads[0] if runs[0].workloads else {}
+    errors = sorted(k for k, v in row.items() if k.endswith("_error") and v)
+    field = "sieve_error" if "sieve_error" in errors else next(iter(errors), None)
+    if field is None:
+        print(f"[{figure}] no workload *_error field; error-drift case skipped")
+    else:
+        error = (row["workload"], field)
+        yield (
+            f"{error[0]}.{field} x1.005",
+            lambda m, j: _error_drift(m, error),
+            {"accuracy"},
+        )
+    key, factor = _AGGREGATE_DRIFT[figure]
+    before = runs[0].aggregates[key]
+    yield (
+        f"{key} {before:g} -> {before * factor:g}",
+        lambda m, j: _aggregate_drift(m, key, factor),
+        {"aggregate"},
+    )
 
 
 def _self_test(args) -> int:
-    """The gate must flag an injected 2x slowdown on every baseline.
-
-    Two paths per figure: the legacy single-sample ratio diff, and the
-    statistical gate — three jittered baseline runs vs three 2x-slower
-    runs must regress, while three differently-jittered same-speed runs
-    must not.
-    """
-    from repro.perfstore import gate_manifests
-
-    tested = 0
+    """The gate must catch every injected fault on every stored baseline."""
+    store = PerfStore(args.baseline_store)
+    failures = 0
     for figure in args.figures:
-        baseline = _load(args.baseline_dir, figure)
-        if baseline is None:
-            print(f"[{figure}] no baseline to self-test against")
-            return 1
-        regressions = diff_manifests(
-            baseline,
-            _slowed(baseline, 2.0),
-            max_slowdown=args.max_slowdown,
-            min_seconds=args.min_seconds,
-        )
-        slowdowns = [
-            r
-            for r in regression_failures(regressions)
-            if r.kind in ("total-wall", "stage-wall")
-        ]
-        if not slowdowns:
-            print(f"[{figure}] SELF-TEST FAILED: 2x slowdown not detected")
-            return 1
-        print(f"[{figure}] self-test OK: 2x slowdown raised "
-              f"{len(slowdowns)} wall-time regression(s)")
-
-        base_runs = [_slowed(baseline, f) for f in _BASE_JITTER]
-        slow_runs = [_slowed(baseline, 2.0 * f) for f in _RERUN_JITTER]
-        rerun_runs = [_slowed(baseline, f) for f in _RERUN_JITTER]
-        flagged = gate_manifests(
-            base_runs, slow_runs, min_seconds=args.min_seconds, figure=figure
-        )
-        if not flagged.regressed:
-            print(f"[{figure}] SELF-TEST FAILED: statistical gate missed a "
-                  f"2x slowdown over 3 runs")
-            return 1
-        clean = gate_manifests(
-            base_runs, rerun_runs, min_seconds=args.min_seconds, figure=figure
-        )
-        if clean.regressed:
-            print(f"[{figure}] SELF-TEST FAILED: statistical gate flagged "
-                  f"same-distribution reruns")
-            return 1
-        print(f"[{figure}] self-test OK: statistical gate flags 2x over 3 "
-              f"runs and passes jittered reruns")
-        tested += 1
-    print(f"OK: gate detects slowdowns on {tested} figure(s)")
+        _, runs = _baseline_runs(store, args.against, figure)
+        if len(runs) < 3:
+            print(f"[{figure}] SELF-TEST FAILED: {len(runs)} stored baseline "
+                  f"run(s) in {store.root}; need at least 3")
+            failures += 1
+            continue
+        for name, transform, kinds in _self_test_cases(figure, runs):
+            for n in (1, 3):
+                current = [transform(m, j) for m, j in zip(runs[:n], _RERUN_JITTER)]
+                report = _gate(args, runs[:n], current, figure=figure)
+                failed = {row.kind for row in report.failures}
+                ok = failed <= kinds and bool(failed) == bool(kinds)
+                verdict = "caught" if kinds else "passed"
+                if ok:
+                    print(f"[{figure}] self-test OK (n={n}): {name} {verdict}")
+                else:
+                    print(f"[{figure}] SELF-TEST FAILED (n={n}): {name} should "
+                          f"{'fail ' + '/'.join(sorted(kinds)) if kinds else 'pass'}"
+                          f", failing rows: {sorted(failed) or 'none'}")
+                    failures += 1
+    if failures:
+        print(f"FAIL: {failures} self-test case(s) failed")
+        return 1
+    print(f"OK: the gate catches every injected fault on {len(args.figures)} "
+          f"figure(s)")
     return 0
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--baseline-dir", type=Path, default=BASELINE_DIR,
-        help=f"committed baseline manifests (default {BASELINE_DIR})",
-    )
-    parser.add_argument(
         "--current-dir", type=Path, default=None,
         help="directory with freshly produced BENCH_<figure>.json files",
     )
     parser.add_argument(
-        "--figures", nargs="+", default=list(DEFAULT_FIGURES),
-        help=f"figures to gate (default: {' '.join(DEFAULT_FIGURES)})",
-    )
-    parser.add_argument(
-        "--max-slowdown", type=float, default=1.25,
-        help="wall-time ratio tolerated per stage and total (default 1.25)",
-    )
-    parser.add_argument(
-        "--min-seconds", type=float, default=0.05,
-        help="absolute slowdown floor below which noise is ignored "
-        "(default 0.05s)",
+        "--figures", nargs="+", default=list(GATED_FIGURES),
+        help=f"figures to gate (default: {' '.join(GATED_FIGURES)})",
     )
     parser.add_argument(
         "--repeat", type=int, default=1,
-        help="number of current runs to reduce before diffing: run 1 is "
+        help="number of current runs per figure: run 1 is "
         "BENCH_<figure>.json, runs 2..N are BENCH_<figure>.<i>.json "
         "(default 1)",
     )
     parser.add_argument(
-        "--repeat-reduce", choices=("best", "median"), default="best",
-        help="wall-time reduction across --repeat runs (default best)",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="copy current manifests into the baseline dir instead of diffing",
-    )
-    parser.add_argument(
-        "--self-test", action="store_true",
-        help="verify the gate flags a synthetic 2x slowdown of the baseline "
-        "(single-sample and statistical paths)",
-    )
-    parser.add_argument(
-        "--store", type=Path, default=None,
-        help="performance store directory: ingest every repeat run "
-        "unreduced under the current commit and gate statistically",
-    )
-    parser.add_argument(
-        "--baseline-store", type=Path, default=None,
-        help="store to resolve the baseline from (default: --store; e.g. "
-        "the committed benchmarks/perfstore snapshot)",
+        "--baseline-store", type=Path, default=BASELINE_STORE,
+        help=f"store holding the baseline runs (default {BASELINE_STORE})",
     )
     parser.add_argument(
         "--against", default=None,
-        help="baseline revision in the baseline store (default: newest "
-        "stored version other than the current one)",
+        help="baseline revision in the baseline store (default: per figure, "
+        "the newest stored version that has it)",
     )
     parser.add_argument(
         "--alpha", type=float, default=0.05,
-        help="rank-test significance level for --store mode (default 0.05)",
+        help="rank-test significance level (default 0.05)",
     )
     parser.add_argument(
         "--min-ratio", type=float, default=1.10,
-        help="practical median-slowdown floor for --store mode "
-        "(default 1.10)",
+        help="practical floor: median wall-time slowdown ratio (default 1.10)",
+    )
+    parser.add_argument(
+        "--min-seconds", type=float, default=0.05,
+        help="practical floor: absolute median wall-time slowdown "
+        "(default 0.05s)",
+    )
+    parser.add_argument(
+        "--max-slowdown", type=float, default=1.25,
+        help="wall-time ratio tolerated when a side has a single run "
+        "(default 1.25)",
+    )
+    parser.add_argument(
+        "--self-test", action="store_true",
+        help="verify the gate catches injected slowdowns and drift on each "
+        "figure's stored baseline runs",
     )
     args = parser.parse_args(argv)
     if args.self_test:
         return _self_test(args)
     if args.current_dir is None:
         parser.error("--current-dir is required unless --self-test")
-    if args.write_baseline:
-        return _write_baseline(args)
-    if args.store is not None:
-        return _check_store(args)
     return _check(args)
 
 

@@ -12,8 +12,9 @@ the acceptance bar names:
   (:func:`repro.observability.export.parse_prometheus` is the strict
   validator);
 * the resulting ``BENCH_service.json`` manifest is written for the
-  ``check_bench_regression.py --figures service`` gate and uploaded as a
-  CI artifact.
+  ``check_bench_regression.py --figures service`` gate (CI runs the
+  smoke three times and gates the runs against the stored baseline runs
+  in ``benchmarks/perfstore``) and uploaded as a CI artifact.
 
 A sequential warm-up pass touches every unique (workload, method, cap)
 task first, so the measured burst exercises the dispatcher and cache
@@ -37,8 +38,9 @@ from repro.observability.export import parse_prometheus
 from repro.service import loadgen
 from repro.service.server import ServiceConfig, start_in_thread
 
-#: Fixed smoke parameters: the committed BENCH_service.json baseline was
-#: generated with exactly these, so CI's manifest diffs like-for-like.
+#: Fixed smoke parameters: the stored service baseline runs in
+#: benchmarks/perfstore were recorded with exactly these, so CI's gate
+#: compares like-for-like.
 SEED = 2023
 PATTERN = "poisson:200"
 REQUESTS = 96

@@ -17,8 +17,9 @@ tier-3 kernels of ~1000 invocations each), then:
   kernels keep exact picks through the stream's first/CTA trackers;
 * when ``SIEVE_BENCH_MANIFEST_DIR`` is set, writes
   ``BENCH_streaming.json`` (per-stage wall times + deterministic
-  aggregates) for the CI ``streaming-smoke`` job to diff against
-  ``benchmarks/baselines/`` via
+  aggregates); the CI ``streaming-smoke`` job runs the smoke three
+  times and gates the runs against the stored baseline runs in
+  ``benchmarks/perfstore`` via
   ``scripts/check_bench_regression.py --figures streaming``.
 
 Usage::

@@ -38,7 +38,7 @@ from repro.observability import spans as obs_spans
 from repro.observability.spans import span
 from repro.robustness import diagnostics
 from repro.robustness.faults import FaultPlan, parse_fault_plan
-from repro.utils.errors import ReproError
+from repro.utils.errors import SieveError
 from repro.workloads.catalog import CHALLENGING_SUITES
 
 #: Commands whose handlers honor --inject-faults.
@@ -567,28 +567,28 @@ def _cmd_compare(args) -> None:
 
 
 def _cmd_report(args) -> int:
-    """Render run manifests; diff exactly two and gate on regressions.
+    """Render run manifests; gate exactly two, or any against ``--against``.
 
-    With ``--against <rev>`` the baseline comes from the performance
-    version store instead: every stored run of that revision is compared
-    statistically against the given manifest(s).
+    Two manifests are baseline then current, a 1-vs-1 run of the
+    regression gate. With ``--against <rev>`` the baseline is every
+    stored run of that revision in the performance store, and all given
+    manifests are current runs.
     """
-    from repro.observability.manifest import (
-        RunManifest,
-        diff_manifests,
-        regression_failures,
-    )
-    from repro.observability.report import render_diff, render_manifest
+    from repro.observability.manifest import RunManifest
+    from repro.observability.report import render_manifest
 
     manifests = [RunManifest.load(path) for path in args.manifests]
     if args.against:
         return _report_against(args, manifests)
     if len(manifests) == 2:
-        regressions = diff_manifests(
-            manifests[0], manifests[1], max_slowdown=args.max_slowdown
+        return _gate(
+            args,
+            manifests[:1],
+            manifests[1:],
+            baseline_label=args.manifests[0],
+            current_label=args.manifests[1],
+            figure=args.figure or "",
         )
-        print(render_diff(manifests[0], manifests[1], regressions))
-        return 1 if regression_failures(regressions) else 0
     for index, manifest in enumerate(manifests):
         if index:
             print()
@@ -597,55 +597,42 @@ def _cmd_report(args) -> int:
 
 
 def _report_against(args, manifests) -> int:
-    """Statistical gate of the given manifests vs a stored revision."""
-    from pathlib import Path
-
-    from repro.observability.manifest import RunManifest
-    from repro.perfstore import (
-        PerfStore,
-        figure_from_command,
-        gate_manifests,
-        render_gate_report,
-        store_from_env,
-    )
+    """Gate the given manifests against a stored revision's runs."""
+    from repro.perfstore import figure_from_command
     from repro.utils.errors import PerfStoreError
 
     figure = args.figure or figure_from_command(manifests[0].command)
-    store = PerfStore(args.store) if args.store else store_from_env()
-    baseline: list = []
-    label = args.against
-    try:
-        version = store.resolve(args.against)
-        baseline = [run.manifest for run in store.runs(version, figure)]
-        label = version[:12]
-    except PerfStoreError as exc:
-        diagnostics.emit("perfstore", str(exc), severity="info")
+    store = _perf_store(args)
+    version = store.resolve(args.against)  # PerfStoreError -> exit 2
+    baseline = [run.manifest for run in store.runs(version, figure)]
     if not baseline:
-        fallback = Path("benchmarks/baselines") / f"BENCH_{figure}.json"
-        if not fallback.exists():
-            print(
-                f"error: revision {args.against!r} has no stored {figure} "
-                f"profile and no committed fallback at {fallback}",
-                file=sys.stderr,
-            )
-            return 2
-        diagnostics.emit(
-            "perfstore",
-            f"revision {args.against!r} has no stored {figure} profile; "
-            f"falling back to {fallback}",
-            severity="info",
+        raise PerfStoreError(
+            f"revision {args.against!r} has no stored {figure} runs",
+            store=str(store.root),
         )
-        baseline = [RunManifest.load(fallback)]
-        label = str(fallback)
-    report = gate_manifests(
+    return _gate(
+        args,
         baseline,
         manifests,
+        baseline_label=version[:12],
+        current_label=f"current ({len(manifests)} run(s))",
+        figure=figure,
+    )
+
+
+def _gate(args, baseline, current, *, baseline_label, current_label, figure) -> int:
+    """Run the regression gate, print its report, exit 1 on regression."""
+    from repro.perfstore import gate_manifests, render_gate_report
+
+    report = gate_manifests(
+        baseline,
+        current,
         alpha=args.alpha,
         min_ratio=args.min_ratio,
         min_seconds=args.min_seconds,
         fallback_slowdown=args.max_slowdown,
-        baseline_label=label,
-        current_label=f"current ({len(manifests)} run(s))",
+        baseline_label=baseline_label,
+        current_label=current_label,
         figure=figure,
     )
     print(render_gate_report(report, verbose=args.verbose))
@@ -1079,9 +1066,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser(
         "report",
-        help="render run manifests; with exactly two, diff them and "
-        "exit 1 on regressions; with --against REV, gate statistically "
-        "against the performance store",
+        help="render run manifests; with exactly two, gate the second "
+        "against the first and exit 1 on regressions; with --against REV, "
+        "gate them against that revision's stored runs",
     )
     report.add_argument(
         "manifests", nargs="+",
@@ -1090,8 +1077,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument(
         "--max-slowdown", type=float, default=1.25,
-        help="per-stage wall-time ratio tolerated when diffing, and the "
-        "single-sample fallback limit for --against (default 1.25)",
+        help="wall-time ratio tolerated when a side has a single run "
+        "(default 1.25)",
     )
     report.add_argument(
         "--against", metavar="REV", default=None,
@@ -1109,7 +1096,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument(
         "--alpha", type=float, default=0.05,
-        help="rank-test significance level for --against (default 0.05)",
+        help="rank-test significance level (default 0.05)",
     )
     report.add_argument(
         "--min-ratio", type=float, default=1.10,
@@ -1570,7 +1557,7 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # Output piped into a pager/head that closed early — not an error.
         return 0
-    except ReproError as exc:
+    except SieveError as exc:
         # Typed pipeline failures get a clean one-liner, not a traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,28 +1,35 @@
-"""Statistical diff of two run *sets* — the noise-aware regression gate.
+"""The regression gate: a diff of two run *sets* (baseline vs current).
 
-Where :func:`repro.observability.manifest.diff_manifests` compares two
-single manifests with a ratio threshold, :func:`gate_manifests` compares
-*samples*: every stored run of the baseline version against every run of
-the current one, one :class:`GateRow` per metric (total wall, each
-stage's wall, each workload's ``*_error`` fields, each numeric
-aggregate), each carrying a verdict from
-:func:`repro.perfstore.stats.degradation_test` plus both distribution
-summaries so reports can show bootstrap CIs.
+:func:`gate_manifests` compares every stored run of the baseline version
+against every run of the current one and emits one :class:`GateRow` per
+metric. Two kinds of metric are gated differently:
+
+* **Wall times** (the total and each stage's inclusive wall) are noisy,
+  so they get :func:`repro.perfstore.stats.degradation_test`: a rank
+  test plus a practical floor, or its labeled single-sample fallback
+  when a side has one run. Improvements pass.
+* **Seed-deterministic fields** (every workload ``*_error`` and every
+  numeric aggregate) must reproduce exactly, up to float reassociation
+  (``DETERMINISTIC_ATOL`` + ``DETERMINISTIC_RTOL``), whatever the run
+  count. A move in *either* direction fails: an error that halves or a
+  ``picks_identical`` that drops to 0 is algorithmic drift, not noise.
 
 Stages present on only one side get explicit ``new`` / ``removed`` rows
 instead of a silent skip or a near-zero division: ``removed`` (the
-baseline spent real time there and the current run never entered it) is
-a failure like the legacy diff's ``stage-missing``; ``new`` is
-informational — a freshly added stage has no baseline to regress from.
+baseline spent real time there and the current run never entered it)
+fails; ``new`` is informational — a freshly added stage has no baseline
+to regress from. A single baseline and a single current manifest (what
+``sieve-repro report A B`` passes) is just the n=1 case of the same gate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from repro.observability import metrics
 from repro.observability.manifest import RunManifest
+from repro.observability.report import render_attribution_drift
 from repro.perfstore.stats import (
     DistributionSummary,
     GateVerdict,
@@ -35,6 +42,11 @@ from repro.utils.validation import require
 SEVERITY_FAIL = "fail"
 SEVERITY_INFO = "info"
 
+#: Tolerance for seed-deterministic fields: absorbs float reassociation,
+#: never algorithmic drift.
+DETERMINISTIC_ATOL = 1e-9
+DETERMINISTIC_RTOL = 1e-6
+
 
 @dataclass(frozen=True)
 class GateRow:
@@ -44,7 +56,8 @@ class GateRow:
     #: | "accuracy" | "aggregate" | "workload-new" | "workload-removed"
     kind: str
     name: str
-    #: "regressed" | "improved" | "indistinguishable" | "new" | "removed"
+    #: "regressed" | "improved" | "indistinguishable" | "drifted" | "new"
+    #: | "removed"
     verdict: str
     severity: str
     detail: str
@@ -52,7 +65,7 @@ class GateRow:
     current: DistributionSummary | None = None
     p_slower: float | None = None
     p_faster: float | None = None
-    #: "rank" | "single-sample" | "presence"
+    #: "rank" | "single-sample" | "exact" | "presence"
     mode: str = "presence"
 
     @property
@@ -84,6 +97,11 @@ class GateReport:
     n_current: int
     rows: tuple[GateRow, ...] = ()
     figure: str = ""
+    #: Per-workload error attributions of the first run on each side
+    #: (seed-deterministic, so one run speaks for all); rendered as an
+    #: attribution-drift table when both sides carry them.
+    baseline_attribution: tuple[dict, ...] = field(default=(), repr=False)
+    current_attribution: tuple[dict, ...] = field(default=(), repr=False)
 
     @property
     def failures(self) -> tuple[GateRow, ...]:
@@ -131,6 +149,33 @@ def _verdict_row(
     )
 
 
+def _exact_row(
+    kind: str, name: str, base_vals: Sequence[float], cur_vals: Sequence[float]
+) -> GateRow:
+    """Every current value must reproduce the baseline's, in both directions."""
+    base_summary = summarize(base_vals)
+    reference = base_summary.median
+    worst = max(cur_vals, key=lambda value: abs(value - reference))
+    drifted = abs(worst - reference) > DETERMINISTIC_ATOL + DETERMINISTIC_RTOL * abs(
+        reference
+    )
+    tolerance = f"atol={DETERMINISTIC_ATOL:g}, rtol={DETERMINISTIC_RTOL:g}"
+    return GateRow(
+        kind=kind,
+        name=name,
+        verdict="drifted" if drifted else "indistinguishable",
+        severity=SEVERITY_FAIL if drifted else SEVERITY_INFO,
+        detail=(
+            f"{worst!r} vs baseline {reference!r} (exact, {tolerance})"
+            if drifted
+            else f"reproduces {reference!r} (exact, {tolerance})"
+        ),
+        baseline=base_summary,
+        current=summarize(cur_vals),
+        mode="exact",
+    )
+
+
 def _stage_walls(runs: Sequence[RunManifest]) -> dict[str, list[float]]:
     walls: dict[str, list[float]] = {}
     for manifest in runs:
@@ -172,21 +217,18 @@ def gate_manifests(
     min_ratio: float = 1.10,
     min_seconds: float = 0.05,
     fallback_slowdown: float = 1.25,
-    accuracy_min_ratio: float = 1.01,
-    accuracy_min_abs: float = 1e-6,
     baseline_label: str = "baseline",
     current_label: str = "current",
     figure: str = "",
 ) -> GateReport:
-    """Gate ``current`` runs against ``baseline`` runs statistically.
+    """Gate ``current`` runs against ``baseline`` runs.
 
     Wall metrics regress when the rank test is significant at ``alpha``
     *and* the median moved by ``min_ratio``× and ``min_seconds``
-    absolute; accuracy/aggregate metrics use the (much tighter)
-    ``accuracy_*`` floors because the pipeline is seed-deterministic —
-    any systematic shift is algorithmic drift, not noise. With a single
-    run on either side every row degrades to the labeled
-    ``single-sample`` heuristic (``fallback_slowdown``).
+    absolute; with a single run on either side they degrade to the
+    labeled ``single-sample`` heuristic (``fallback_slowdown``).
+    Accuracy/aggregate metrics are compared exactly (see the module
+    docstring), whatever the run count.
 
     The overall verdict lands on the ``perfstore.gate`` metric.
     """
@@ -203,18 +245,6 @@ def gate_manifests(
             alpha=alpha,
             min_ratio=min_ratio,
             min_abs=min_seconds,
-            fallback_slowdown=fallback_slowdown,
-        )
-
-    def accuracy_test(
-        base_vals: Sequence[float], cur_vals: Sequence[float]
-    ) -> GateVerdict:
-        return degradation_test(
-            base_vals,
-            cur_vals,
-            alpha=alpha,
-            min_ratio=accuracy_min_ratio,
-            min_abs=accuracy_min_abs,
             fallback_slowdown=fallback_slowdown,
         )
 
@@ -281,9 +311,7 @@ def gate_manifests(
                 cur_vals = cur_metrics.get(key)
                 name = f"{workload}.{key}"
                 if base_vals and cur_vals:
-                    rows.append(
-                        _verdict_row("accuracy", name, accuracy_test(base_vals, cur_vals))
-                    )
+                    rows.append(_exact_row("accuracy", name, base_vals, cur_vals))
                 elif base_vals:
                     rows.append(
                         GateRow(
@@ -333,7 +361,7 @@ def gate_manifests(
         base_vals = base_aggregates.get(key)
         cur_vals = cur_aggregates.get(key)
         if base_vals and cur_vals:
-            rows.append(_verdict_row("aggregate", key, accuracy_test(base_vals, cur_vals)))
+            rows.append(_exact_row("aggregate", key, base_vals, cur_vals))
         elif base_vals:
             rows.append(
                 GateRow(
@@ -364,6 +392,8 @@ def gate_manifests(
         n_current=len(current),
         rows=tuple(rows),
         figure=figure,
+        baseline_attribution=baseline[0].attribution,
+        current_attribution=current[0].attribution,
     )
     metrics.inc("perfstore.gate", verdict=report.verdict)
     return report
@@ -381,8 +411,9 @@ def render_gate_report(report: GateReport, *, verbose: bool = False) -> str:
     """Human-readable gate report.
 
     Non-verbose output shows every decided row (regressed / improved /
-    new / removed) and folds the indistinguishable bulk into one count;
-    ``verbose=True`` prints everything.
+    drifted / new / removed) and folds the indistinguishable bulk into
+    one count; ``verbose=True`` prints everything. When both sides carry
+    error attributions, an attribution-drift table follows the verdict.
     """
     lines = [
         f"perf gate: {report.current_label} (n={report.n_current}) vs "
@@ -402,4 +433,9 @@ def render_gate_report(report: GateReport, *, verbose: bool = False) -> str:
     if quiet:
         lines.append(f"  ({quiet} metric(s) statistically indistinguishable)")
     lines.append(f"verdict: {report.verdict.upper()}")
+    drift = render_attribution_drift(
+        report.baseline_attribution, report.current_attribution
+    )
+    if drift:
+        lines.extend(["", drift])
     return "\n".join(lines)

@@ -266,7 +266,7 @@ def degradation_test(
             detail=detail,
         )
 
-    # Single-sample fallback: the old --max-slowdown heuristic, labeled.
+    # Single-sample fallback: a plain ratio heuristic, labeled as such.
     if base_med > 0 and cur_med > base_med * fallback_slowdown and delta > min_abs:
         verdict = "regressed"
     elif cur_med > 0 and base_med > cur_med * fallback_slowdown and -delta > min_abs:

@@ -22,8 +22,9 @@ summarizes into a :class:`LoadgenReport` whose
 :meth:`~LoadgenReport.to_manifest` emits the ``BENCH_service.json``
 :class:`~repro.observability.manifest.RunManifest` the bench-regression
 gate consumes. Latency percentiles ride as synthetic stage rows (gated
-by the ratio + min-seconds rule); the manifest *aggregates* carry only
-deterministic counts so the gate's tight numeric diff never flakes.
+like any wall time: rank test plus practical floor); the manifest
+*aggregates* carry only deterministic counts, because the gate compares
+them exactly.
 """
 
 from __future__ import annotations
@@ -306,10 +307,10 @@ class LoadgenReport:
     def to_manifest(self) -> RunManifest:
         """The BENCH_service manifest for the regression gate.
 
-        Aggregates hold only deterministic counts (the gate diffs every
-        numeric aggregate at ~1e-6 tolerance); wall-clock quantities ride
-        as stage rows, which the gate compares by ratio with an absolute
-        floor. Workload rows carry the served prediction errors — these
+        Aggregates hold only deterministic counts (the gate compares every
+        numeric aggregate exactly, at ~1e-6 tolerance); wall-clock
+        quantities ride as stage rows, which the gate compares like any
+        wall time. Workload rows carry the served prediction errors — these
         are engine-deterministic, so drift there is a real regression.
         """
         counts = self.status_counts()

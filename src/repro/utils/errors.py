@@ -15,9 +15,6 @@ aggregate and quarantine failures without parsing strings::
 
     raise EngineError("task exceeded deadline", label="fuzz/s1-i00042",
                       deadline_s=30.0, attempt=2)
-
-``ReproError`` survives as an alias of :class:`SieveError` for
-pre-existing imports.
 """
 
 from __future__ import annotations
@@ -42,11 +39,6 @@ class SieveError(ValueError):
             )
             rendered = f"{message} [{fields}]"
         super().__init__(rendered)
-
-
-#: Backwards-compatible alias: the hierarchy's base was named
-#: ``ReproError`` before it grew structured context fields.
-ReproError = SieveError
 
 
 class ProfileError(SieveError):

@@ -19,7 +19,7 @@ from repro.utils.errors import (
     EngineError,
     MethodConfigError,
     MethodRegistryError,
-    ReproError,
+    SieveError,
     UnknownMethodError,
 )
 
@@ -47,11 +47,11 @@ def test_registry_round_trip_evaluates(name, small_context):
 def test_unknown_method_raises_typed_error():
     with pytest.raises(UnknownMethodError, match="registered: periodic"):
         get_method("bogus")
-    # Typed hierarchy: registry errors are ReproErrors, and the unknown-
+    # Typed hierarchy: registry errors are SieveErrors, and the unknown-
     # method case doubles as an EngineError for historical call sites.
     assert issubclass(UnknownMethodError, MethodRegistryError)
     assert issubclass(UnknownMethodError, EngineError)
-    assert issubclass(MethodRegistryError, ReproError)
+    assert issubclass(MethodRegistryError, SieveError)
 
 
 def test_duplicate_name_rejected():

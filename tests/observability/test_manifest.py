@@ -1,4 +1,5 @@
-"""Manifest assembly, JSON round-trip, self-time accounting and diffing."""
+"""Manifest assembly, JSON round-trip, self-time accounting, and the
+1-vs-1 manifest diff through the regression gate."""
 
 import dataclasses
 import time
@@ -12,10 +13,9 @@ from repro.observability.manifest import (
     StageStat,
     aggregate_stages,
     collect_manifest,
-    diff_manifests,
-    regression_failures,
 )
 from repro.observability.spans import span
+from repro.perfstore.gate import gate_manifests
 
 
 @pytest.fixture(autouse=True)
@@ -126,30 +126,43 @@ def _manifest(total, stages, workloads=(), aggregates=None):
     )
 
 
+# Diffing two manifests is the 1-vs-1 case of the one regression gate
+# (what ``sieve-repro report A B`` runs): walls take the labeled
+# single-sample path, deterministic fields are compared exactly.
+
+
+def _failed(baseline, current):
+    report = gate_manifests([baseline], [current])
+    return {(row.kind, row.name) for row in report.failures}
+
+
 def test_diff_clean_when_identical():
     baseline = _manifest(
         1.0, [("a", 0.6), ("b", 0.4)],
         workloads=[{"workload": "w", "sieve_error": 0.01}],
         aggregates={"avg": 0.01},
     )
-    assert diff_manifests(baseline, baseline) == []
+    report = gate_manifests([baseline], [baseline])
+    assert not report.regressed
+    assert report.verdict == "indistinguishable"
 
 
 def test_diff_flags_two_x_slowdown():
     baseline = _manifest(1.0, [("a", 0.6), ("b", 0.4)])
     slowed = _manifest(2.0, [("a", 1.2), ("b", 0.8)])
-    kinds = {(r.kind, r.name) for r in diff_manifests(baseline, slowed)}
-    assert kinds == {
+    report = gate_manifests([baseline], [slowed])
+    assert {(r.kind, r.name) for r in report.failures} == {
         ("total-wall", "total"),
         ("stage-wall", "a"),
         ("stage-wall", "b"),
     }
+    assert all(r.mode == "single-sample" for r in report.failures)
 
 
 def test_diff_min_seconds_floor_absorbs_noise():
     baseline = _manifest(0.010, [("tiny", 0.010)])
     slowed = _manifest(0.020, [("tiny", 0.020)])
-    assert diff_manifests(baseline, slowed) == []  # 2x but < 50ms delta
+    assert _failed(baseline, slowed) == set()  # 2x but < 50ms delta
 
 
 def test_diff_flags_missing_stage_and_workload():
@@ -157,48 +170,46 @@ def test_diff_flags_missing_stage_and_workload():
         1.0, [("a", 0.9)], workloads=[{"workload": "w", "sieve_error": 0.01}]
     )
     current = _manifest(1.0, [])
-    kinds = {(r.kind, r.name) for r in diff_manifests(baseline, current)}
-    assert ("stage-missing", "a") in kinds
-    assert ("accuracy", "w") in kinds
+    failed = _failed(baseline, current)
+    assert ("stage-removed", "a") in failed
+    assert ("workload-removed", "w") in failed
 
 
 def test_diff_reports_new_stage_as_info_not_failure():
     baseline = _manifest(1.0, [("a", 0.9)])
     current = _manifest(1.0, [("a", 0.9), ("b", 0.3)])
-    regressions = diff_manifests(baseline, current)
-    by_kind = {(r.kind, r.name): r for r in regressions}
-    row = by_kind[("stage-new", "b")]
+    report = gate_manifests([baseline], [current])
+    row = next(r for r in report.rows if (r.kind, r.name) == ("stage-new", "b"))
     assert row.severity == "info"
     assert not row.failed
-    assert regression_failures(regressions) == []  # info rows never gate
+    assert not report.regressed  # info rows never gate
 
 
 def test_diff_ignores_new_stage_below_floor():
     baseline = _manifest(1.0, [("a", 0.9)])
     current = _manifest(1.0, [("a", 0.9), ("blip", 0.001)])
-    assert diff_manifests(baseline, current) == []
+    assert _failed(baseline, current) == set()
 
 
 def test_diff_zero_baseline_wall_is_informational():
-    # A 0-second baseline wall must not produce a millions-of-x ratio:
-    # the current measurement is reported as info, never as a failure.
+    # A 0-second baseline wall must not produce a millions-of-x ratio
+    # (or a ZeroDivisionError): the row is reported, never failed.
     baseline = _manifest(0.0, [("a", 0.0)])
     current = _manifest(3.0, [("a", 3.0)])
-    regressions = diff_manifests(baseline, current)
-    assert regressions  # visible, not silently skipped
-    assert all(r.severity == "info" for r in regressions)
-    assert regression_failures(regressions) == []
-    details = {r.detail for r in regressions}
-    assert any("no usable baseline wall" in d for d in details)
+    report = gate_manifests([baseline], [current])
+    walls = [r for r in report.rows if r.kind in ("total-wall", "stage-wall")]
+    assert len(walls) == 2  # visible, not silently skipped
+    assert not report.regressed
+    assert all("n/a" in r.detail for r in walls)  # no ratio against nothing
 
 
 def test_diff_removed_stage_still_fails():
     baseline = _manifest(1.0, [("a", 0.9)])
     current = _manifest(1.0, [("b", 0.9)])
-    regressions = diff_manifests(baseline, current)
-    removed = [r for r in regressions if r.kind == "stage-missing"]
+    report = gate_manifests([baseline], [current])
+    removed = [r for r in report.rows if r.kind == "stage-removed"]
     assert removed and removed[0].severity == "fail" and removed[0].failed
-    assert removed[0] in regression_failures(regressions)
+    assert removed[0] in report.failures
 
 
 def test_diff_flags_accuracy_and_aggregate_drift():
@@ -212,10 +223,11 @@ def test_diff_flags_accuracy_and_aggregate_drift():
         workloads=({"workload": "w", "sieve_error": 0.011, "sieve_cov": 0.9},),
         aggregates={"sieve_avg": 0.011},
     )
-    regressions = diff_manifests(baseline, current)
-    names = {r.name for r in regressions}
     # *_error keys and aggregates are gated; other row fields are not.
-    assert names == {"w.sieve_error", "sieve_avg"}
+    assert {name for _, name in _failed(baseline, current)} == {
+        "w.sieve_error",
+        "sieve_avg",
+    }
     # But float-reassociation noise within rtol passes.
     nearly = dataclasses.replace(
         baseline,
@@ -223,4 +235,4 @@ def test_diff_flags_accuracy_and_aggregate_drift():
                     "sieve_cov": 0.2},),
         aggregates={"sieve_avg": 0.010 * (1 + 1e-9)},
     )
-    assert diff_manifests(baseline, nearly) == []
+    assert _failed(baseline, nearly) == set()

@@ -1,14 +1,14 @@
-"""Smoke tests for the manifest renderers."""
+"""Smoke tests for the manifest and gate-report renderers."""
 
 import dataclasses
 
-from repro.observability.manifest import RunManifest, StageStat, diff_manifests
+from repro.observability.manifest import RunManifest, StageStat
 from repro.observability.report import (
-    _diff_attribution,
     render_attribution,
-    render_diff,
+    render_attribution_drift,
     render_manifest,
 )
+from repro.perfstore.gate import gate_manifests, render_gate_report
 
 
 def _manifest(total, stage_wall, error=0.012):
@@ -45,20 +45,24 @@ def test_render_manifest_includes_key_sections():
     assert "engine.pool_failure" in text
 
 
-def test_render_diff_lists_regressions():
-    baseline = _manifest(1.0, 0.6)
-    slowed = _manifest(2.0, 1.2)
-    regressions = diff_manifests(baseline, slowed)
-    text = render_diff(baseline, slowed, regressions)
-    assert "REGRESSED" in text
+def _gate_text(baseline, current, verbose=False):
+    report = gate_manifests([baseline], [current])
+    return report, render_gate_report(report, verbose=verbose)
+
+
+def test_render_gate_report_lists_regressions():
+    report, text = _gate_text(_manifest(1.0, 0.6), _manifest(2.0, 1.2))
+    assert "[stage-wall] sieve.stratify: FAIL" in text
     assert "2.00x" in text
-    assert f"{len(regressions)} regression(s):" in text
+    assert "verdict: REGRESSED" in text
+    assert report.regressed
 
 
-def test_render_diff_clean():
+def test_render_gate_report_clean():
     baseline = _manifest(1.0, 0.6)
-    text = render_diff(baseline, baseline, [])
-    assert "no regressions." in text
+    report, text = _gate_text(baseline, baseline)
+    assert "verdict: INDISTINGUISHABLE" in text
+    assert "FAIL" not in text and not report.regressed
 
 
 def _with_stages(manifest, stages):
@@ -69,43 +73,36 @@ def _stage(name, wall):
     return StageStat(name=name, count=1, wall_s=wall, self_s=wall, cpu_s=wall)
 
 
-def test_render_diff_stage_present_in_only_one_manifest():
+def test_render_gate_report_stage_present_in_only_one_manifest():
     baseline = _with_stages(
         _manifest(1.0, 0.6), [_stage("sieve.stratify", 0.6), _stage("old.only", 0.2)]
     )
     current = _with_stages(
         _manifest(1.0, 0.6), [_stage("sieve.stratify", 0.6), _stage("new.only", 0.3)]
     )
-    regressions = diff_manifests(baseline, current)
-    text = render_diff(baseline, current, regressions)
-    # The vanished stage renders as absent (and gates); the new one as new.
-    assert ("old.only", "absent") in [
-        (line.split()[0], line.split()[2]) for line in text.splitlines()
-        if line.startswith("old.only")
-    ]
-    assert any(
-        line.startswith("new.only") and "absent" in line and "new" in line
-        for line in text.splitlines()
-    )
-    assert any(r.kind == "stage-missing" and r.name == "old.only" for r in regressions)
+    report, text = _gate_text(baseline, current)
+    # The vanished stage renders as removed (and gates); the new one as new.
+    assert "[stage-removed] old.only: FAIL" in text
+    assert "[stage-new] new.only: new" in text
+    assert {(r.kind, r.name) for r in report.failures} == {
+        ("stage-removed", "old.only")
+    }
 
 
-def test_render_diff_zero_wall_stage_no_zero_division():
+def test_render_gate_report_zero_wall_stage_no_zero_division():
     baseline = _with_stages(_manifest(1.0, 0.6), [_stage("instant", 0.0)])
     current = _with_stages(_manifest(1.0, 0.6), [_stage("instant", 0.0)])
-    regressions = diff_manifests(baseline, current)
-    text = render_diff(baseline, current, regressions)  # must not raise
-    assert regressions == []
-    instant = next(line for line in text.splitlines() if line.startswith("instant"))
-    assert instant.rstrip().endswith("-")  # ratio is a dash, not a division
+    report, text = _gate_text(baseline, current, verbose=True)  # must not raise
+    assert not report.regressed
+    instant = next(line for line in text.splitlines() if "instant" in line)
+    assert "n/a" in instant  # no ratio against a zero wall
 
 
-def test_render_diff_zero_total_wall_no_zero_division():
+def test_render_gate_report_zero_total_wall_no_zero_division():
     baseline = _manifest(0.0, 0.0)
     current = _manifest(0.0, 0.0)
-    regressions = diff_manifests(baseline, current)
-    assert regressions == []
-    render_diff(baseline, current, regressions)
+    report, _ = _gate_text(baseline, current, verbose=True)
+    assert not report.regressed
     render_manifest(baseline)  # stage share falls back without dividing by 0
 
 
@@ -196,15 +193,20 @@ def test_diff_attribution_reports_drift_and_largest_mover():
         _manifest(1.0, 0.6),
         attribution=(_attribution_entry(signed=-0.05, kernel_contribution=-0.045),),
     )
-    text = _diff_attribution(baseline, current)
+    text = render_attribution_drift(baseline.attribution, current.attribution)
     assert "attribution drift:" in text
     assert "cactus/gru · sieve" in text
     assert "-3.000%" in text  # delta between the signed errors
     assert "gru_k000" in text  # the kernel that moved most
+    # The gate report carries the same table when both sides attribute.
+    _, gate_text = _gate_text(baseline, current)
+    assert text in gate_text
 
 
 def test_diff_attribution_empty_when_absent():
     baseline = _manifest(1.0, 0.6)
-    assert _diff_attribution(baseline, baseline) == ""
-    # And render_diff stays attribution-free rather than crashing.
-    assert "attribution drift" not in render_diff(baseline, baseline, [])
+    attributed = dataclasses.replace(baseline, attribution=(_attribution_entry(),))
+    assert render_attribution_drift(baseline.attribution, baseline.attribution) == ""
+    # The gate report stays attribution-free unless *both* sides carry it.
+    assert "attribution drift" not in _gate_text(baseline, baseline)[1]
+    assert "attribution drift" not in _gate_text(baseline, attributed)[1]

@@ -6,7 +6,7 @@ from repro.perfstore.gate import gate_manifests, render_gate_report
 
 from .conftest import make_manifest
 
-#: +-3% jitter shapes, matching scripts/check_bench_regression.py.
+#: +-3% run-to-run jitter shapes (the rerun shape matches the gate self-test).
 BASE_JITTER = (0.97, 1.00, 1.03)
 RERUN_JITTER = (0.98, 1.01, 1.02)
 
@@ -77,9 +77,9 @@ def test_removed_trivial_stage_is_only_informational():
 
 
 def test_accuracy_uses_tighter_floor_than_wall_metrics():
-    # A 5% error increase is far below the 10% wall floor but far above
-    # the 1% accuracy floor: the pipeline is seed-deterministic, so a
-    # systematic shift of this size is algorithmic drift.
+    # A 5% error increase is far below the 10% wall floor, but the
+    # pipeline is seed-deterministic, so accuracy is compared exactly:
+    # a systematic shift of any size is algorithmic drift.
     baseline = [
         make_manifest(workloads=[{"workload": "w", "sieve_error": 0.0100 + i * 1e-5}])
         for i in range(3)
@@ -91,7 +91,7 @@ def test_accuracy_uses_tighter_floor_than_wall_metrics():
     report = gate_manifests(baseline, current)
     accuracy = next(r for r in report.rows if r.kind == "accuracy")
     assert accuracy.name == "w.sieve_error"
-    assert accuracy.failed and accuracy.verdict == "regressed"
+    assert accuracy.failed and accuracy.verdict == "drifted"
 
 
 def test_removed_metric_and_workload_fail_new_ones_inform():
@@ -129,9 +129,71 @@ def test_aggregate_regression_and_removal():
     current = [make_manifest(aggregates={"sieve_avg": 0.012}) for _ in range(3)]
     report = gate_manifests(baseline, current)
     by_name = {(row.kind, row.name): row for row in report.rows}
-    assert by_name[("aggregate", "sieve_avg")].verdict == "regressed"
+    assert by_name[("aggregate", "sieve_avg")].verdict == "drifted"
     assert by_name[("aggregate", "old_key")].verdict == "removed"
     assert by_name[("aggregate", "old_key")].failed
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize(
+    "kind, before, after",
+    [
+        # Moves a lower-is-better test would read as improvements...
+        ("aggregate", {"picks_identical": 1.0}, {"picks_identical": 0.0}),
+        ("aggregate", {"sieve_hmean": 13.3}, {"sieve_hmean": 6.65}),
+        ("aggregate", {"http_2xx": 96.0}, {"http_2xx": 90.0}),
+        # ...and increases far below any wall-time floor.
+        ("accuracy", {"sieve_error": 0.0090}, {"sieve_error": 0.0090 * 1.005}),
+        ("accuracy", {"sieve_error": 0.0090}, {"sieve_error": 0.0090 * 0.995}),
+    ],
+)
+def test_deterministic_fields_fail_on_drift_in_either_direction(n, kind, before, after):
+    def runs(fields, jitter):
+        return jittered(
+            1.0,
+            jitter[:n],
+            workloads=[{"workload": "w", **fields}] if kind == "accuracy" else (),
+            aggregates=fields if kind == "aggregate" else None,
+        )
+
+    report = gate_manifests(runs(before, BASE_JITTER), runs(after, RERUN_JITTER))
+    assert [(row.kind, row.verdict, row.mode) for row in report.failures] == [
+        (kind, "drifted", "exact")
+    ]
+    same = gate_manifests(runs(before, BASE_JITTER), runs(before, RERUN_JITTER))
+    assert not same.regressed
+
+
+def test_deterministic_float_noise_within_tolerance_passes():
+    def runs(error):
+        return jittered(
+            1.0,
+            workloads=[{"workload": "w", "sieve_error": error}],
+            aggregates={"sieve_avg": error},
+        )
+
+    report = gate_manifests(runs(0.010), runs(0.010 * (1 + 1e-9)))
+    assert not report.regressed
+    assert {row.mode for row in report.rows if row.kind == "aggregate"} == {"exact"}
+
+
+def test_2x_below_min_seconds_passes():
+    def runs(factor, jitter):
+        return [
+            make_manifest(total=0.010 * factor * j, stages=(("tiny", 0.010 * factor * j),))
+            for j in jitter
+        ]
+
+    report = gate_manifests(runs(1.0, BASE_JITTER), runs(2.0, RERUN_JITTER))
+    assert not report.regressed  # significant, but under the 50ms floor
+
+
+def test_zero_wall_baseline_does_not_divide_by_zero():
+    baseline = [make_manifest(total=0.0, stages=(("instant", 0.0),)) for _ in range(3)]
+    current = [make_manifest(total=0.0, stages=(("instant", 0.0),)) for _ in range(3)]
+    report = gate_manifests(baseline, current)
+    assert not report.regressed
+    render_gate_report(report, verbose=True)
 
 
 def test_single_runs_fall_back_to_labeled_heuristic():

@@ -74,9 +74,9 @@ def test_report_renders_single_manifest(manifest_path, capsys):
 
 
 def test_report_diff_passes_and_fails(manifest_path, tmp_path, capsys):
-    # Identical manifests: clean diff, exit 0.
+    # Identical manifests: clean 1-vs-1 gate, exit 0.
     assert main(["report", str(manifest_path), str(manifest_path)]) == 0
-    assert "no regressions." in capsys.readouterr().out
+    assert "verdict: INDISTINGUISHABLE" in capsys.readouterr().out
     # Injected 2x slowdown: regressions, exit 1.
     payload = json.loads(manifest_path.read_text())
     payload["total_wall_s"] *= 2
@@ -86,7 +86,7 @@ def test_report_diff_passes_and_fails(manifest_path, tmp_path, capsys):
     slowed = tmp_path / "slow.json"
     slowed.write_text(json.dumps(payload))
     assert main(["report", str(manifest_path), str(slowed)]) == 1
-    assert "regression(s):" in capsys.readouterr().out
+    assert "verdict: REGRESSED" in capsys.readouterr().out
 
 
 def test_no_trace_out_writes_nothing(tmp_path, capsys):

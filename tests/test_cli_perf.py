@@ -139,8 +139,7 @@ def test_report_against_resolves_version_prefix(store_dir, tmp_path, capsys):
     assert "base-rev"[:12] in capsys.readouterr().out
 
 
-def test_report_against_unknown_rev_without_fallback(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)  # no benchmarks/baselines/ here
+def test_report_against_unknown_rev_without_fallback(tmp_path, capsys):
     current = str(write_manifest(tmp_path / "cur.json"))
     code = main(
         ["report", current, "--against", "no-such-rev",
@@ -150,16 +149,13 @@ def test_report_against_unknown_rev_without_fallback(tmp_path, capsys, monkeypat
     assert "no stored" in capsys.readouterr().err
 
 
-def test_report_against_falls_back_to_committed_baseline(tmp_path, capsys):
-    # An empty store + the repo's committed BENCH_fig3.json baseline:
-    # gating the baseline against itself must pass via the fallback.
-    current = tmp_path / "cur.json"
-    baseline = RunManifest.load("benchmarks/baselines/BENCH_fig3.json")
-    baseline.save(current)
+def test_report_against_rev_without_figure_runs_exits_2(store_dir, tmp_path, capsys):
+    # The revision is stored, but has no runs of the requested figure:
+    # there is no baseline to gate against, and no fallback either.
+    current = str(write_manifest(tmp_path / "cur.json"))
     code = main(
-        ["report", str(current), "--against", "no-such-rev",
-         "--store", str(tmp_path / "empty-store"), "--figure", "fig3"]
+        ["report", current, "--against", "base-rev", "--store", str(store_dir),
+         "--figure", "fig6"]
     )
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "BENCH_fig3.json" in out
+    assert code == 2
+    assert "no stored fig6 runs" in capsys.readouterr().err

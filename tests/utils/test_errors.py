@@ -10,7 +10,6 @@ from repro.utils.errors import (
     PredictionError,
     ProfileError,
     QuarantinedTaskError,
-    ReproError,
     SelectionError,
     SieveError,
     TaskCrashError,
@@ -22,7 +21,7 @@ from repro.utils.validation import require
 @pytest.mark.parametrize(
     "exc_type",
     [
-        ReproError,
+        SieveError,
         ProfileError,
         SelectionError,
         PredictionError,
@@ -40,10 +39,6 @@ def test_hierarchy_is_catchable_as_value_error(exc_type):
     # pre-existing callers that catch ValueError keep working.
     assert issubclass(exc_type, SieveError)
     assert issubclass(exc_type, ValueError)
-
-
-def test_repro_error_is_sieve_error_alias():
-    assert ReproError is SieveError
 
 
 def test_engine_subtypes_catchable_as_engine_error():
