@@ -11,7 +11,7 @@ from repro.baselines.random_sampling import RandomSampler
 from repro.evaluation.context import build_context
 from repro.evaluation.metrics import prediction_error
 from repro.evaluation.reporting import format_table, percent
-from repro.evaluation.runner import evaluate_sieve
+from repro.evaluation.runner import evaluate_method
 
 from _common import banner, emit
 
@@ -22,7 +22,7 @@ def _sweep():
     rows = []
     for label in WORKLOADS:
         context = build_context(label)
-        sieve = evaluate_sieve(context)
+        sieve = evaluate_method("sieve", context)
         budget = sieve.num_representatives
         table = context.sieve_table
 

@@ -11,7 +11,7 @@ from repro.baselines.pks_two_level import TwoLevelPksPipeline
 from repro.evaluation.context import build_context
 from repro.evaluation.metrics import prediction_error
 from repro.evaluation.reporting import format_table, percent, times
-from repro.evaluation.runner import evaluate_pks, evaluate_sieve
+from repro.evaluation.runner import evaluate_method
 from repro.profiling.two_level import TwoLevelProfiler
 
 from _common import banner, emit
@@ -24,8 +24,8 @@ def _sweep():
     rows = []
     for label in WORKLOADS:
         context = build_context(label)
-        full_pks = evaluate_pks(context)
-        sieve = evaluate_sieve(context)
+        full_pks = evaluate_method("pks", context)
+        sieve = evaluate_method("sieve", context)
 
         profile = TwoLevelProfiler(DETAILED_BUDGET).profile(context.run)
         pipeline = TwoLevelPksPipeline()

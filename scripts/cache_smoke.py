@@ -6,7 +6,10 @@ directory and asserts the contract the engine promises:
 * the warm (cache-hit) run is at least MIN_SPEEDUP faster than the cold
   run;
 * both runs produce byte-identical pickled ``MethodResult``\\ s;
-* the warm run served every task from cache (no recomputation).
+* the warm run served every task from cache (no recomputation);
+* with ``--jobs N`` (N > 1), the cold results are byte-identical to a
+  ``jobs=1`` cold pass in its own cache, which runs every task in
+  process.
 
 Usage::
 
@@ -47,13 +50,20 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory(prefix="sieve-cache-smoke-") as tmp:
-        cache = Path(tmp)
+        cache = Path(tmp) / "cache"
         cold_rows, cold_time, cold_stats = run_once(cache, args.jobs, args.cap)
         warm_rows, warm_time, warm_stats = run_once(cache, args.jobs, args.cap)
+        reference_rows = cold_rows
+        if args.jobs > 1:
+            reference_rows, serial_time, _ = run_once(
+                Path(tmp) / "serial", 1, args.cap
+            )
 
     speedup = cold_time / warm_time if warm_time > 0 else float("inf")
     print(f"cold: {cold_time:.3f}s ({cold_stats.summary()})")
     print(f"warm: {warm_time:.3f}s ({warm_stats.summary()})")
+    if args.jobs > 1:
+        print(f"jobs=1 cold: {serial_time:.3f}s")
     print(f"warm-cache speedup: {speedup:.1f}x (required >= {MIN_SPEEDUP}x)")
 
     failures = []
@@ -62,14 +72,18 @@ def main(argv: list[str] | None = None) -> int:
             f"warm run recomputed work: {warm_stats.summary()} over "
             f"{len(cold_rows)} tasks"
         )
-    for cold, warm in zip(cold_rows, warm_rows):
+    for cold, warm, reference in zip(cold_rows, warm_rows, reference_rows):
         for method in ("sieve", "pks"):
-            if pickle.dumps(getattr(cold, method)) != pickle.dumps(
-                getattr(warm, method)
-            ):
+            cold_bytes = pickle.dumps(getattr(cold, method))
+            if cold_bytes != pickle.dumps(getattr(warm, method)):
                 failures.append(
                     f"{cold.workload} {method}: warm result is not "
                     "byte-identical to cold result"
+                )
+            if cold_bytes != pickle.dumps(getattr(reference, method)):
+                failures.append(
+                    f"{cold.workload} {method}: jobs={args.jobs} cold result "
+                    "is not byte-identical to the jobs=1 cold result"
                 )
     if speedup < MIN_SPEEDUP:
         failures.append(

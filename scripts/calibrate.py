@@ -10,7 +10,7 @@ import time
 
 from repro.evaluation.context import build_context
 from repro.evaluation.metrics import harmonic_mean
-from repro.evaluation.runner import evaluate_pks, evaluate_sieve, sieve_tier_fractions
+from repro.evaluation.runner import evaluate_method, sieve_tier_fractions
 from repro.workloads.catalog import CHALLENGING_SUITES, specs_for_suites
 
 CAP = None if len(sys.argv) < 2 else int(sys.argv[1])
@@ -23,8 +23,8 @@ for spec in specs_for_suites(CHALLENGING_SUITES):
     t0 = time.time()
     ctx = build_context(spec.label, max_invocations=CAP)
     tiers = sieve_tier_fractions(ctx, theta=0.4)
-    sieve = evaluate_sieve(ctx)
-    pks = evaluate_pks(ctx)
+    sieve = evaluate_method("sieve", ctx)
+    pks = evaluate_method("pks", ctx)
     sieve_errs.append(sieve.error)
     pks_errs.append(pks.error)
     if spec.name != "gst":

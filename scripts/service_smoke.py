@@ -116,7 +116,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--jobs", type=int, default=2,
-        help="engine process-pool width inside each batch (default 2)",
+        help="engine supervisor threads inside each batch (default 2)",
     )
     args = parser.parse_args(argv)
 

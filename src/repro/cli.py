@@ -1168,8 +1168,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace = sub.add_parser(
         "trace",
-        help="selection traces and telemetry exports "
-        "('trace <workload>' still writes selection traces)",
+        help="selection traces and telemetry exports",
     )
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
     selection = trace_sub.add_parser(
@@ -1475,43 +1474,9 @@ def _write_manifest(args, captured: list[dict]) -> None:
     maybe_record(manifest)
 
 
-#: Global flags that consume the next token; the trace shim must skip
-#: their values when hunting for the subcommand position.
-_VALUE_FLAGS = frozenset(
-    {
-        "--cap", "--jobs", "--cache-dir", "--inject-faults", "--fault-seed",
-        "--trace-out", "--stream-spans",
-    }
-)
-
-
-def _shim_trace_argv(argv: list[str]) -> list[str]:
-    """Keep ``trace <workload>`` working now that trace has subcommands.
-
-    ``trace`` grew ``selection``/``export`` subparsers; historical usage
-    (``sieve-repro trace cactus/gru --out dir``) is rewritten to
-    ``trace selection ...`` before parsing.
-    """
-    index = 0
-    while index < len(argv):
-        token = argv[index]
-        if token in _VALUE_FLAGS:
-            index += 2
-            continue
-        if token.startswith("-"):
-            index += 1
-            continue
-        if token == "trace":
-            following = argv[index + 1] if index + 1 < len(argv) else None
-            if following not in ("selection", "export", "-h", "--help", None):
-                return argv[: index + 1] + ["selection"] + argv[index + 1 :]
-        return argv
-    return argv
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    args = build_parser().parse_args(_shim_trace_argv(argv))
+    args = build_parser().parse_args(argv)
     unsubscribe = None
     if not args.quiet_diagnostics:
         unsubscribe = diagnostics.subscribe(

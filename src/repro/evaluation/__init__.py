@@ -30,8 +30,6 @@ _EXPORTS = {
     "weighted_cycle_cov": "dispersion",
     "MethodResult": "runner",
     "evaluate_method": "runner",
-    "evaluate_sieve": "runner",
-    "evaluate_pks": "runner",
     "ExperimentSpec": "experiments",
     "ExperimentRow": "experiments",
     "run_experiment": "experiments",

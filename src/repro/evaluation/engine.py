@@ -1,20 +1,22 @@
-"""Parallel, cached evaluation engine.
+"""Cached evaluation engine with one supervised execution path.
 
 Every figure/table experiment reduces to the same unit of work: build a
 workload context (generate + measure + profile) and run one or both
 samplers on it. That unit is a pure function of (resolved workload spec,
-sampler configs, fault plan, package source), so this module fans units
-out across a process pool and memoizes their results in a content-
+sampler configs, fault plan, package source), so this module runs units
+in supervised child processes and memoizes their results in a content-
 addressed on-disk cache:
 
-* :class:`EvaluationTask` — one picklable, seed-deterministic unit of
-  work, with a :meth:`~EvaluationTask.cache_key` derived via
+* :class:`EvaluationTask` — one seed-deterministic unit of work, with a
+  :meth:`~EvaluationTask.cache_key` derived via
   :func:`repro.utils.hashing.stable_hash`;
 * :class:`ResultCache` — the on-disk store (atomic writes, corruption
   tolerance, hit/miss statistics);
-* :class:`EvaluationEngine` — scheduling: cache probe, process-pool
-  fan-out, graceful degradation to serial execution when the pool dies
-  (reported through :mod:`repro.robustness.diagnostics`).
+* :class:`EvaluationEngine` — scheduling: cache probe, then the misses
+  run in process (:meth:`~EvaluationEngine.run` at ``jobs=1``, the
+  reference path) or through the one supervised executor, which forks
+  one child per attempt under ``jobs`` supervisor threads, so a dead
+  worker costs one retried attempt, never the batch.
 
 Determinism contract: every stochastic element downstream of a task
 (workload generation, measurement noise, k-means init, random selection)
@@ -32,9 +34,8 @@ import os
 import pickle
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
@@ -66,9 +67,7 @@ from repro.utils.validation import require
 from repro.workloads.catalog import spec_for
 from repro.workloads.spec import WorkloadSpec
 
-if TYPE_CHECKING:  # annotation-only; keeps baselines out of the import graph
-    from repro.baselines.pks import PksConfig
-    from repro.core.config import SieveConfig
+if TYPE_CHECKING:  # annotation-only
     from repro.streaming.base import StreamingSpec
 
 #: Bump when the cached payload layout changes; old entries become misses.
@@ -109,13 +108,12 @@ class EvaluationTask:
     """One unit of work: evaluate the requested methods on one workload.
 
     Tasks are frozen, hashable and picklable; workers resolve the label
-    through the catalog and rebuild the context from seeds, so shipping a
-    task to another process ships *no* bulk data.
+    through the catalog and rebuild the context from seeds, so a task
+    carries *no* bulk data.
 
     ``methods`` accepts registry names (``"sieve"``) and/or
     :class:`~repro.methods.MethodRequest`\\ s; plain names are normalized
-    into requests at construction, folding in the legacy ``sieve_config``
-    / ``pks_config`` conveniences. Every requested method must resolve in
+    into default-config requests at construction. Every requested method must resolve in
     the registry — construction and :meth:`cache_key` both raise a typed
     :class:`~repro.utils.errors.UnknownMethodError` otherwise, so a task
     can never mint a cache key for a method that cannot run.
@@ -123,8 +121,6 @@ class EvaluationTask:
 
     label: str
     max_invocations: int | None = None
-    sieve_config: SieveConfig | None = None
-    pks_config: PksConfig | None = None
     fault_plan: FaultPlan | None = None
     methods: tuple[str | MethodRequest, ...] = KNOWN_METHODS
     #: Inline workload spec for labels *not* in the catalog (fuzz
@@ -165,11 +161,8 @@ class EvaluationTask:
                 f"not match task label {self.label!r}",
                 EngineError,
             )
-        legacy = {"sieve": self.sieve_config, "pks": self.pks_config}
         requests = tuple(
-            entry
-            if isinstance(entry, MethodRequest)
-            else MethodRequest(method=entry, config=legacy.get(entry))
+            entry if isinstance(entry, MethodRequest) else MethodRequest(method=entry)
             for entry in self.methods
         )
         keys = [request.key for request in requests]
@@ -181,12 +174,9 @@ class EvaluationTask:
         # Fail loudly now: resolve every name and type-check its config.
         for request in requests:
             get_method(request.method).resolve_config(request.config)
-        # Normalize in place (frozen dataclass): the legacy configs live
-        # inside the requests from here on, so a task built from names +
-        # configs hashes identically to one built from explicit requests.
+        # Normalize in place (frozen dataclass), so a task built from
+        # names hashes identically to one built from default requests.
         object.__setattr__(self, "methods", requests)
-        object.__setattr__(self, "sieve_config", None)
-        object.__setattr__(self, "pks_config", None)
 
     def cache_key(self) -> str:
         """Content-addressed identity of this task's result.
@@ -239,9 +229,9 @@ class TaskResult:
 def run_task(task: EvaluationTask) -> dict[str, MethodResult]:
     """Execute one task in the current process.
 
-    This is the process-pool worker: module-level so it pickles by
-    reference, and independent of all engine state so serial and parallel
-    execution share one code path.
+    This is what every worker runs, and what :meth:`EvaluationEngine.run`
+    runs in process at ``jobs=1``: independent of all engine state, so
+    in-process and forked execution share one code path.
     """
     def evaluate(context) -> dict[str, MethodResult]:
         if task.streaming is not None:
@@ -275,88 +265,6 @@ def run_task(task: EvaluationTask) -> dict[str, MethodResult]:
                 spec=task.spec,
             )
         )
-
-
-def run_task_with_telemetry(
-    task: EvaluationTask,
-) -> tuple[dict[str, MethodResult], tuple, dict, tuple]:
-    """Pool worker: run a task and ship its telemetry back to the parent.
-
-    The worker's span records, metrics registry and event list are reset
-    at task start (the fork inherited the parent's — counting that twice
-    would corrupt the merge), so the returned snapshot is exactly this
-    task's delta. Live sinks are also dropped: they wrap parent-owned
-    file handles, and a forked worker emitting into them would interleave
-    with the parent's stream. The parent adopts spans under its fan-out
-    span and merges metric snapshots and events in task input order
-    (``pool.map`` preserves it), which keeps the merged telemetry
-    byte-equal to a serial run's.
-    """
-    spans.reset()
-    spans.clear_sinks()
-    metrics.get_registry().reset()
-    obs_manifest.reset_events()
-    results = run_task(task)
-    return (
-        results,
-        spans.records(),
-        metrics.get_registry().snapshot(),
-        obs_manifest.events(),
-    )
-
-
-class PoolFailure(EngineError):
-    """The process pool died mid-run.
-
-    Carries the results of every task that *did* complete before the
-    failure (``pool.map`` streams them back in input order), so the
-    serial fallback can reuse them instead of recomputing — losing a
-    worker to the OOM killer on task 47 of 50 no longer costs 47
-    recomputations.
-    """
-
-    def __init__(self, completed: list[dict], cause: BaseException):
-        super().__init__(
-            f"process pool failed after {len(completed)} completed tasks: {cause!r}",
-            completed=len(completed),
-        )
-        self.completed = completed
-        self.cause = cause
-
-
-def _pool_map(jobs: int, tasks: Sequence[EvaluationTask]) -> list[dict]:
-    """Run tasks through a process pool, preserving input order.
-
-    When observability is enabled, workers return their telemetry along
-    with the results; spans are grafted under the live ``engine.pool``
-    span and metric snapshots merge into the parent registry here, in
-    input order (``pool.map`` preserves it), so parallel aggregation is
-    deterministic.
-
-    If the pool dies mid-run, raises :class:`PoolFailure` wrapping the
-    original exception plus the prefix of results already streamed back.
-    """
-    completed: list[dict] = []
-    try:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            if not obs_state.enabled():
-                for task_results in pool.map(run_task, tasks):
-                    completed.append(task_results)
-                return completed
-            with span("engine.pool", jobs=jobs, tasks=len(tasks)) as pool_span:
-                registry = metrics.get_registry()
-                for task_results, worker_spans, snapshot, worker_events in pool.map(
-                    run_task_with_telemetry, tasks
-                ):
-                    spans.adopt(
-                        worker_spans, parent_id=pool_span.span_id, proc="worker"
-                    )
-                    registry.merge(snapshot)
-                    obs_manifest.extend_events(worker_events)
-                    completed.append(task_results)
-                return completed
-    except (BrokenProcessPool, pickle.PicklingError, OSError) as exc:
-        raise PoolFailure(completed, exc) from exc
 
 
 @dataclass
@@ -515,7 +423,7 @@ class RetryPolicy:
 
 @dataclass(frozen=True)
 class TaskOutcome:
-    """Result of one isolated task, successful or not.
+    """Result of one supervised task, successful or not.
 
     ``status`` is one of ``ok`` (results present), ``timeout`` (every
     attempt blew its deadline), ``crash`` (worker process died),
@@ -529,6 +437,9 @@ class TaskOutcome:
     attempts: int = 0
     from_cache: bool = False
     error: str | None = None
+    #: The last attempt's exception when the task raised one that
+    #: survives pickling (``None`` for timeouts and crashes).
+    cause: BaseException | None = field(default=None, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -641,18 +552,36 @@ class Quarantine:
         return rows
 
 
-def _isolated_child(task: EvaluationTask, attempt: int, conn) -> None:
-    """Entry point of a single-task worker process.
+def _portable(exc: BaseException) -> BaseException | None:
+    """``exc`` if it survives a pickle round trip, else ``None``."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return None
+    return exc
 
-    Applies deterministic task-surface sabotage first (the chaos hooks
-    behind :func:`repro.robustness.faults.task_sabotage`): ``hang``
+
+def _isolated_child(task: EvaluationTask, attempt: int, sabotage: bool, conn) -> None:
+    """Entry point of a single-attempt worker process.
+
+    With ``sabotage`` (only :meth:`EvaluationEngine.run_isolated` sets
+    it), applies deterministic task-surface sabotage first (the chaos
+    hooks behind :func:`repro.robustness.faults.task_sabotage`): ``hang``
     sleeps past any reasonable deadline, ``crash`` kills the process
     abruptly, ``task_error`` raises. Sabotage depends only on
     ``(plan.seed, mode, label, attempt)`` — never on scheduling — so
     ``jobs=1`` and ``jobs=N`` campaigns sabotage identically.
+
+    The child then runs the task and ships ``(results, spans, metrics
+    snapshot, events)`` back. Telemetry inherited through the fork is
+    reset first (counting it twice would corrupt the merge), so the
+    snapshot is exactly this task's delta; live sinks are dropped too,
+    since they wrap parent-owned file handles. The parent adopts spans
+    under its fan-out span and merges metrics and events in task input
+    order, which keeps the merged telemetry byte-equal to a serial run's.
     """
     try:
-        if task.fault_plan is not None:
+        if sabotage and task.fault_plan is not None:
             mode = task_sabotage(task.fault_plan, task.label, attempt)
             if mode == "hang":
                 time.sleep(3600.0)
@@ -664,11 +593,21 @@ def _isolated_child(task: EvaluationTask, attempt: int, conn) -> None:
                     workload=task.label,
                     attempt=attempt,
                 )
-        payload = run_task_with_telemetry(task)
-        conn.send(("ok", payload))
+        spans.reset()
+        spans.clear_sinks()
+        metrics.get_registry().reset()
+        obs_manifest.reset_events()
+        results = run_task(task)
+        telemetry = (
+            results,
+            spans.records(),
+            metrics.get_registry().snapshot(),
+            obs_manifest.events(),
+        )
+        conn.send(("ok", telemetry, None))
     except BaseException as exc:  # noqa: BLE001 — ship *any* failure to the parent
         try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
+            conn.send(("error", f"{type(exc).__name__}: {exc}", _portable(exc)))
         except Exception:
             os._exit(1)
     finally:
@@ -679,32 +618,39 @@ def _isolated_child(task: EvaluationTask, attempt: int, conn) -> None:
 
 
 def _supervised_attempt(
-    task: EvaluationTask, attempt: int, deadline_s: float | None
-) -> tuple[str, object]:
+    task: EvaluationTask, attempt: int, deadline_s: float | None, sabotage: bool
+) -> tuple[str, object, BaseException | None]:
     """Run one attempt in a dedicated child process under a deadline.
 
-    Returns ``(status, payload)`` where status is ``ok`` (payload is the
-    telemetry tuple from :func:`run_task_with_telemetry`), ``timeout``,
-    ``crash`` or ``error`` (payload is a description). The child is
+    Returns ``(status, payload, cause)`` where status is ``ok`` (payload
+    is the telemetry tuple from :func:`_isolated_child`),
+    ``timeout``, ``crash`` or ``error`` (payload is a description, and
+    ``cause`` the task's exception when it pickles). The child is
     terminated (then killed) on timeout, so a hung task costs exactly
     one deadline — never the campaign.
     """
     ctx = multiprocessing.get_context("fork")
     receiver, sender = ctx.Pipe(duplex=False)
-    proc = ctx.Process(target=_isolated_child, args=(task, attempt, sender), daemon=True)
+    proc = ctx.Process(
+        target=_isolated_child, args=(task, attempt, sabotage, sender), daemon=True
+    )
     proc.start()
     sender.close()
     try:
         if not receiver.poll(deadline_s):
             _reap(proc)
-            return ("timeout", f"no result within {deadline_s}s deadline")
+            return ("timeout", f"no result within {deadline_s}s deadline", None)
         try:
-            status, payload = receiver.recv()
+            reply = receiver.recv()
         except EOFError:
             proc.join(5.0)
-            return ("crash", f"worker died without result (exitcode={proc.exitcode})")
+            return (
+                "crash",
+                f"worker died without result (exitcode={proc.exitcode})",
+                None,
+            )
         proc.join(5.0)
-        return (status, payload)
+        return reply
     finally:
         receiver.close()
         if proc.is_alive():
@@ -723,20 +669,22 @@ def _reap(proc: multiprocessing.Process) -> None:
 def _run_with_retries(
     task: EvaluationTask,
     policy: RetryPolicy,
-    sleep: Callable[[float], None] = time.sleep,
+    sabotage: bool,
 ) -> tuple[TaskOutcome, tuple | None]:
     """Drive one task through supervised attempts with backoff.
 
     Returns the outcome plus the worker telemetry tuple for successful
     attempts (``None`` on failure); the caller merges telemetry in task
-    input order so parallel campaigns stay deterministic.
+    input order so parallel runs stay deterministic.
     """
-    status, payload = "error", "never attempted"
+    status, payload, cause = "error", "never attempted", None
     for attempt in range(policy.max_attempts):
         with span(
             "engine.attempt", workload=task.label, attempt=attempt
         ):
-            status, payload = _supervised_attempt(task, attempt, policy.deadline_s)
+            status, payload, cause = _supervised_attempt(
+                task, attempt, policy.deadline_s, sabotage
+            )
         if status == "ok":
             results = payload[0]
             return (
@@ -750,7 +698,7 @@ def _run_with_retries(
             f"failed ({status}): {payload}",
         )
         if attempt + 1 < policy.max_attempts:
-            sleep(policy.backoff(attempt))
+            time.sleep(policy.backoff(attempt))
     return (
         TaskOutcome(
             task.label,
@@ -758,9 +706,31 @@ def _run_with_retries(
             None,
             attempts=policy.max_attempts,
             error=str(payload),
+            cause=cause,
         ),
         None,
     )
+
+
+def _supervise(
+    tasks: Sequence[EvaluationTask], jobs: int, policy: RetryPolicy, sabotage: bool
+) -> list[tuple[TaskOutcome, tuple | None]]:
+    """The one executor: every task through :func:`_run_with_retries`.
+
+    ``jobs`` supervisor threads each drive one task's forked attempts at
+    a time, opening their spans under the caller's live span; outcomes
+    come back in input order.
+    """
+    if jobs <= 1:
+        return [_run_with_retries(task, policy, sabotage) for task in tasks]
+    with ThreadPoolExecutor(
+        max_workers=jobs,
+        initializer=spans.continue_stack,
+        initargs=(spans.current_stack(),),
+    ) as supervisors:
+        return list(
+            supervisors.map(lambda task: _run_with_retries(task, policy, sabotage), tasks)
+        )
 
 
 @dataclass(frozen=True)
@@ -770,16 +740,14 @@ class EngineConfig:
     jobs: int = 1
     use_cache: bool = True
     cache_dir: Path | None = None  # None -> default_cache_dir()
-    #: Re-run remaining work serially when the worker pool dies mid-run
-    #: (OOM-killed worker, interpreter mismatch) instead of failing.
-    serial_fallback: bool = True
     #: Where the quarantine list persists. ``None`` puts it next to the
     #: cache (``<cache_dir>/quarantine.json``) when caching is on, else
     #: keeps it in memory for the engine's lifetime.
     quarantine_path: Path | None = None
     #: Failures before a task label / cache key is quarantined.
     quarantine_threshold: int = 2
-    #: Deadline + retry schedule used by :meth:`EvaluationEngine.run_isolated`.
+    #: Attempt schedule of the supervised executor.
+    #: :meth:`EvaluationEngine.run` uses it without the deadline.
     retry: RetryPolicy = RetryPolicy()
 
     def __post_init__(self) -> None:
@@ -792,12 +760,12 @@ class EngineConfig:
 
 
 class EvaluationEngine:
-    """Schedule evaluation tasks across the cache and a process pool.
+    """Schedule evaluation tasks across the cache and supervised workers.
 
     ``run`` returns :class:`TaskResult`\\ s in input order regardless of
-    completion order, cache state or worker count; the serial path
-    (``jobs=1``) and the default ``EngineConfig(jobs=1, use_cache=False)``
-    reproduce the historical single-process behaviour exactly.
+    completion order, cache state or worker count; the in-process path
+    (``jobs=1``) is the reference every ``jobs=N`` run must match byte
+    for byte.
     """
 
     def __init__(self, config: EngineConfig | None = None):
@@ -866,28 +834,113 @@ class EvaluationEngine:
         self.close()
 
     def run(self, tasks: Sequence[EvaluationTask]) -> list[TaskResult]:
-        """Evaluate every task, probing the cache first."""
-        with span("engine.run", tasks=len(tasks)):
-            ordered: list[TaskResult | None] = [None] * len(tasks)
-            pending: list[int] = []
-            keys: list[str | None] = [None] * len(tasks)
-            with span("engine.cache.probe", tasks=len(tasks)):
-                for index, task in enumerate(tasks):
-                    if self.cache is not None:
-                        keys[index] = task.cache_key()
-                        cached = self.cache.get(keys[index])
-                        if cached is not None:
-                            ordered[index] = TaskResult(
-                                task.label, cached, from_cache=True
-                            )
-                            continue
-                    pending.append(index)
-            if pending:
-                computed = self._execute([tasks[i] for i in pending])
-                for index, results in zip(pending, computed):
-                    ordered[index] = TaskResult(tasks[index].label, results)
-                    self._cache_put(keys[index], results)
-            return [result for result in ordered if result is not None]
+        """Evaluate every task, probing the cache first.
+
+        Misses run in this process at ``jobs=1``; otherwise they go
+        through the supervised executor under ``config.retry`` with no
+        deadline, so a dead worker costs one retried attempt. A task that
+        still fails raises what it raises at ``jobs=1`` when that
+        exception pickles, else :class:`~repro.utils.errors.TaskCrashError`.
+        Quarantine and task-surface chaos belong to :meth:`run_isolated`.
+        """
+        with span("engine.run", tasks=len(tasks)) as run_span:
+            policy = replace(self.config.retry, deadline_s=None)
+            return [
+                TaskResult(outcome.label, outcome.results, from_cache=outcome.from_cache)
+                for outcome in self._evaluate(tasks, run_span, policy, isolated=False)
+            ]
+
+    def run_isolated(
+        self,
+        tasks: Sequence[EvaluationTask],
+        policy: RetryPolicy | None = None,
+    ) -> list[TaskOutcome]:
+        """Evaluate tasks with per-task crash isolation and deadlines.
+
+        Every pending task — at any ``jobs`` — runs through the
+        supervised executor: a hang costs one deadline, a crash costs one
+        attempt, and neither aborts the batch. Failed tasks come back as
+        outcomes and earn quarantine strikes; quarantined tasks are
+        skipped outright, and task-surface chaos in a task's fault plan
+        is applied. Outcomes come back in input order, cache-warm where
+        possible, and ``jobs=1`` and ``jobs=N`` produce byte-identical
+        surviving results and aggregates.
+        """
+        with span("engine.run_isolated", tasks=len(tasks)) as iso_span:
+            policy = policy or self.config.retry
+            return self._evaluate(tasks, iso_span, policy, isolated=True)
+
+    def _evaluate(
+        self,
+        tasks: Sequence[EvaluationTask],
+        fan_out_span,
+        policy: RetryPolicy,
+        isolated: bool,
+    ) -> list[TaskOutcome]:
+        """Probe the cache, run the misses, merge telemetry in input order.
+
+        ``isolated`` selects :meth:`run_isolated`'s contract: quarantine
+        skips and strikes, task-surface chaos, forked attempts even at
+        ``jobs=1``, and failures returned as outcomes. Without it the
+        first failure in input order raises.
+        """
+        outcomes: dict[int, TaskOutcome] = {}
+        keys: dict[int, str] = {}
+        pending: list[int] = []
+        with span("engine.cache.probe", tasks=len(tasks)):
+            for index, task in enumerate(tasks):
+                if isolated and self.quarantine.is_quarantined("task", task.label):
+                    metrics.inc("engine.isolated.quarantine_skips")
+                    obs_manifest.record_event(
+                        "engine.task_skipped", workload=task.label, reason="quarantined"
+                    )
+                    outcomes[index] = TaskOutcome(
+                        task.label, "quarantined", error="skipped: quarantined task"
+                    )
+                    continue
+                if self.cache is not None:
+                    keys[index] = task.cache_key()
+                    cached = self.cache.get(keys[index])
+                    if cached is not None:
+                        outcomes[index] = TaskOutcome(
+                            task.label, "ok", cached, from_cache=True
+                        )
+                        continue
+                pending.append(index)
+        jobs = min(self.config.jobs, len(pending))
+        if jobs <= 1 and not isolated:  # the in-process reference path
+            attempted = [
+                (TaskOutcome(tasks[i].label, "ok", run_task(tasks[i]), attempts=1), None)
+                for i in pending
+            ]
+        else:
+            attempted = _supervise([tasks[i] for i in pending], jobs, policy, isolated)
+        for index, (outcome, telemetry) in zip(pending, attempted):
+            outcomes[index] = outcome
+            if outcome.ok:
+                self._cache_put(keys.get(index), dict(outcome.results))
+                if telemetry is not None and obs_state.enabled():
+                    _, worker_spans, snapshot, worker_events = telemetry
+                    spans.adopt(worker_spans, parent_id=fan_out_span.span_id)
+                    metrics.get_registry().merge(snapshot)
+                    obs_manifest.extend_events(worker_events)
+            elif not isolated:
+                raise outcome.cause or TaskCrashError(
+                    f"task {outcome.label!r} failed after {outcome.attempts} attempts",
+                    status=outcome.status,
+                    error=outcome.error,
+                )
+            else:
+                metrics.inc("engine.isolated.failures", status=outcome.status)
+                obs_manifest.record_event(
+                    "engine.task_failed",
+                    workload=outcome.label,
+                    status=outcome.status,
+                    attempts=outcome.attempts,
+                    error=outcome.error,
+                )
+                self.quarantine.strike("task", outcome.label)
+        return [outcomes[index] for index in range(len(tasks))]
 
     def _cache_put(self, key: str | None, results: dict[str, MethodResult]) -> None:
         """Write-through, unless the key's entries keep coming back corrupt."""
@@ -897,123 +950,3 @@ class EvaluationEngine:
             metrics.inc("engine.cache.quarantine_skips")
             return
         self.cache.put(key, results)
-
-    def _execute(self, tasks: Sequence[EvaluationTask]) -> list[dict]:
-        jobs = min(self.config.jobs, len(tasks))
-        if jobs <= 1:
-            return [run_task(task) for task in tasks]
-        try:
-            return _pool_map(jobs, tasks)
-        except (PoolFailure, BrokenProcessPool, pickle.PicklingError, OSError) as exc:
-            # Plain exceptions cover tests (and callers) that substitute
-            # _pool_map with something that raises directly.
-            if isinstance(exc, PoolFailure):
-                completed, cause = exc.completed, exc.cause
-            else:
-                completed, cause = [], exc
-            if not self.config.serial_fallback:
-                raise cause
-            remaining = tasks[len(completed):]
-            obs_manifest.record_event(
-                "engine.pool_failure",
-                exception=repr(cause),
-                jobs=jobs,
-                tasks=len(tasks),
-                completed=len(completed),
-            )
-            metrics.inc("engine.pool.failures")
-            diagnostics.emit(
-                "engine",
-                f"process pool failed ({cause!r}); reusing {len(completed)} "
-                f"completed results and degrading to serial execution for "
-                f"{len(remaining)} remaining tasks",
-            )
-            with span(
-                "engine.serial_fallback",
-                tasks=len(remaining),
-                reused=len(completed),
-            ):
-                return completed + [run_task(task) for task in remaining]
-
-    def run_isolated(
-        self,
-        tasks: Sequence[EvaluationTask],
-        policy: RetryPolicy | None = None,
-    ) -> list[TaskOutcome]:
-        """Evaluate tasks with per-task crash isolation and deadlines.
-
-        Each pending task runs in its *own* child process supervised by a
-        thread: a hang costs one deadline, a crash costs one task, and
-        neither aborts the batch (contrast :meth:`run`, where one dying
-        worker used to cost the whole pool). Failed tasks earn quarantine
-        strikes; quarantined tasks are skipped outright. Outcomes come
-        back in input order, cache-warm where possible, and worker
-        telemetry is merged in input order so ``jobs=1`` and ``jobs=N``
-        produce byte-identical surviving results and aggregates.
-        """
-        policy = policy or self.config.retry
-        with span("engine.run_isolated", tasks=len(tasks)) as iso_span:
-            ordered: list[TaskOutcome | None] = [None] * len(tasks)
-            keys: list[str | None] = [None] * len(tasks)
-            pending: list[int] = []
-            for index, task in enumerate(tasks):
-                if self.quarantine.is_quarantined("task", task.label):
-                    metrics.inc("engine.isolated.quarantine_skips")
-                    obs_manifest.record_event(
-                        "engine.task_skipped", workload=task.label, reason="quarantined"
-                    )
-                    ordered[index] = TaskOutcome(
-                        task.label,
-                        "quarantined",
-                        attempts=0,
-                        error="skipped: quarantined task",
-                    )
-                    continue
-                if self.cache is not None:
-                    keys[index] = task.cache_key()
-                    cached = self.cache.get(keys[index])
-                    if cached is not None:
-                        ordered[index] = TaskOutcome(
-                            task.label, "ok", cached, attempts=0, from_cache=True
-                        )
-                        continue
-                pending.append(index)
-            if pending:
-                jobs = min(self.config.jobs, len(pending))
-                if jobs <= 1:
-                    attempted = [
-                        _run_with_retries(tasks[i], policy) for i in pending
-                    ]
-                else:
-                    with ThreadPoolExecutor(max_workers=jobs) as supervisors:
-                        attempted = list(
-                            supervisors.map(
-                                lambda i: _run_with_retries(tasks[i], policy),
-                                pending,
-                            )
-                        )
-                registry = metrics.get_registry()
-                for index, (outcome, telemetry) in zip(pending, attempted):
-                    ordered[index] = outcome
-                    if outcome.ok:
-                        self._cache_put(keys[index], dict(outcome.results))
-                        if telemetry is not None and obs_state.enabled():
-                            _, worker_spans, snapshot, worker_events = telemetry
-                            spans.adopt(
-                                worker_spans,
-                                parent_id=iso_span.span_id,
-                                proc="isolated",
-                            )
-                            registry.merge(snapshot)
-                            obs_manifest.extend_events(worker_events)
-                    else:
-                        metrics.inc("engine.isolated.failures", status=outcome.status)
-                        obs_manifest.record_event(
-                            "engine.task_failed",
-                            workload=outcome.label,
-                            status=outcome.status,
-                            attempts=outcome.attempts,
-                            error=outcome.error,
-                        )
-                        self.quarantine.strike("task", outcome.label)
-            return [outcome for outcome in ordered if outcome is not None]

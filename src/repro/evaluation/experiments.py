@@ -97,7 +97,7 @@ class ExperimentSpec:
     A spec is pure data — hashable, comparable, trivially serialized —
     and :meth:`tasks` lowers it onto engine tasks, so one
     :func:`run_experiment` executes every figure's spec through the
-    same cache/pool machinery.
+    same cache and executor.
     """
 
     name: str
@@ -158,7 +158,7 @@ def run_experiment(
     """Execute a spec through the evaluation engine, one row per workload.
 
     ``engine`` routes the per-workload work through a
-    :class:`repro.evaluation.engine.EvaluationEngine` (process-pool
+    :class:`repro.evaluation.engine.EvaluationEngine` (supervised
     fan-out + on-disk result cache); the default is serial and uncached,
     which reproduces the historical behaviour exactly.
     """

@@ -17,7 +17,7 @@ Design constraints, in order:
   its ``error`` field) even when its body raises; the stack always
   unwinds, so one failing stage cannot corrupt the trace of the next.
 * **Picklable records.** Worker processes ship their span records back
-  to the parent through the evaluation engine's process pool;
+  to the parent through the evaluation engine's supervised executor;
   :func:`adopt` grafts them under the parent's fan-out span with fresh
   ids and a ``proc`` tag so self-time accounting stays per-process.
 """
@@ -53,7 +53,7 @@ class SpanRecord:
     parent_id: int  # -1 for a root span
     depth: int
     error: str | None = None  # exception type name if the body raised
-    proc: str = "main"  # "main", or "worker" for pool-shipped spans
+    proc: str = "main"  # "main", or "worker" for worker-shipped spans
     attrs: dict = field(default_factory=dict)
     start_s: float = 0.0  # per-process perf_counter stamp at __enter__
 
@@ -99,7 +99,7 @@ def remove_sink(sink) -> None:
 
 
 def clear_sinks() -> None:
-    """Drop every registered sink (pool workers after fork, tests)."""
+    """Drop every registered sink (forked workers, tests)."""
     _sinks.clear()
 
 
@@ -108,6 +108,17 @@ def _stack() -> list[int]:
     if stack is None:
         stack = _tls.stack = []
     return stack
+
+
+def current_stack() -> tuple[int, ...]:
+    """The calling thread's open span ids, outermost first."""
+    return tuple(_stack())
+
+
+def continue_stack(stack: tuple[int, ...]) -> None:
+    """Open this thread's next spans under another thread's ``stack``
+    (a helper thread would otherwise record root spans)."""
+    _tls.stack = list(stack)
 
 
 def _allocate_id() -> int:
@@ -215,7 +226,7 @@ def dropped() -> int:
 
 
 def reset() -> None:
-    """Drop all records and live-stack state (tests, pool workers)."""
+    """Drop all records and live-stack state (tests, forked workers)."""
     global _dropped, _next_id
     with _lock:
         _records.clear()

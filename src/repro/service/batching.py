@@ -11,8 +11,8 @@ task list. The dispatcher bridges the two worlds:
 * a single flusher coroutine sleeps for the batching window
   (``window_s``) after the first arrival, then drains everything queued
   into one ``engine.run_isolated`` call on a worker thread — the engine
-  parallelizes *inside* the batch via its process pool, so exactly one
-  batch runs at a time and batches never contend for the pool;
+  parallelizes *inside* the batch via its supervisor threads, so exactly
+  one batch runs at a time and batches never contend for workers;
 * requests whose tasks share a cache key **coalesce**: the first one
   enqueues the engine task, later arrivals await the same future. With
   ``asyncio.shield`` around the shared future, one client cancelling
@@ -97,7 +97,7 @@ class BatchingDispatcher:
         self._flusher: asyncio.Task | None = None
         self._closed = False
         # One worker thread: batches are serialized; the engine's own
-        # process pool provides the parallelism within a batch.
+        # supervisor threads provide the parallelism within a batch.
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="sieve-service-batch"
         )

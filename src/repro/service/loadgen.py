@@ -424,7 +424,7 @@ def run_loadgen(
     Closed-loop by default (each client takes the next request as soon
     as it finishes its last — maximum pressure); ``open_loop=True``
     honors the schedule's arrival offsets instead, sleeping until each
-    request's release time.
+    request's release time and timing it from that release.
     """
     if clients < 1:
         raise BadRequestError(f"clients must be >= 1, got {clients}")
@@ -442,12 +442,14 @@ def run_loadgen(
                 if index is None:
                     break
                 request = requests[index]
+                t0 = time.monotonic()
                 if open_loop:
-                    release = t_start[0] + request.offset_s
-                    delay = release - time.monotonic()
+                    # Time from the scheduled release: a stall that holds
+                    # this client back counts against the requests behind it.
+                    t0 = t_start[0] + request.offset_s
+                    delay = t0 - time.monotonic()
                     if delay > 0:
                         time.sleep(delay)
-                t0 = time.perf_counter()
                 try:
                     status, decoded = _post_json(
                         connection, request.route, request.payload, timeout_s
@@ -465,7 +467,7 @@ def run_loadgen(
                         )
                     except (http.client.HTTPException, OSError):
                         status, decoded = 0, None
-                latency = time.perf_counter() - t0
+                latency = time.monotonic() - t0
                 record = RequestRecord(
                     index=request.index,
                     route=request.route,

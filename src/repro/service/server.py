@@ -62,7 +62,7 @@ class ServiceConfig:
     port: int = 0  # 0 = ephemeral; the bound port lands on the handle
     window_s: float = 0.005  # micro-batching window
     max_batch: int = 32
-    jobs: int = 1  # engine process-pool width per batch
+    jobs: int = 1  # engine supervisor threads per batch
     use_cache: bool = True
     cache_dir: str | None = None
     quarantine_threshold: int = 2

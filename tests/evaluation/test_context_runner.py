@@ -6,8 +6,7 @@ import pytest
 from repro.core.config import SieveConfig
 from repro.evaluation.context import build_context
 from repro.evaluation.runner import (
-    evaluate_pks,
-    evaluate_sieve,
+    evaluate_method,
     hardware_speedup_between,
     predicted_speedup_between,
     sieve_tier_fractions,
@@ -34,7 +33,7 @@ def test_context_tables_consistent(small_context):
 
 
 def test_evaluate_sieve_scorecard(small_context):
-    result = evaluate_sieve(small_context)
+    result = evaluate_method("sieve", small_context)
     assert result.method == "sieve"
     assert 0 <= result.error < 0.2
     assert result.speedup > 5
@@ -43,7 +42,7 @@ def test_evaluate_sieve_scorecard(small_context):
 
 
 def test_evaluate_pks_scorecard(small_context):
-    result = evaluate_pks(small_context)
+    result = evaluate_method("pks", small_context)
     assert result.method == "pks-first"
     assert result.error >= 0
     assert result.cycle_cov >= 0
@@ -51,8 +50,8 @@ def test_evaluate_pks_scorecard(small_context):
 
 
 def test_sieve_beats_pks_dispersion(small_context):
-    sieve = evaluate_sieve(small_context)
-    pks = evaluate_pks(small_context)
+    sieve = evaluate_method("sieve", small_context)
+    pks = evaluate_method("pks", small_context)
     assert sieve.cycle_cov <= pks.cycle_cov + 0.05
 
 
@@ -66,8 +65,8 @@ def test_tier_fractions_sum_to_one(small_context):
 
 
 def test_theta_config_respected(small_context):
-    tight = evaluate_sieve(small_context, SieveConfig(theta=0.1))
-    loose = evaluate_sieve(small_context, SieveConfig(theta=1.0))
+    tight = evaluate_method("sieve", small_context, SieveConfig(theta=0.1))
+    loose = evaluate_method("sieve", small_context, SieveConfig(theta=1.0))
     assert tight.num_representatives >= loose.num_representatives
 
 
@@ -75,7 +74,7 @@ def test_cross_architecture_speedups(small_context):
     turing = small_context.measure_on(TURING_RTX2080TI)
     hardware = hardware_speedup_between(small_context.golden, turing)
     assert hardware > 0
-    sieve = evaluate_sieve(small_context)
+    sieve = evaluate_method("sieve", small_context)
     predicted = predicted_speedup_between(
         sieve.selection, "sieve", small_context.golden, turing
     )
@@ -95,11 +94,11 @@ def test_predicted_speedup_method_dispatch(small_context):
         other = pipe.predict(selection, turing).predicted_cycles
         return (other / (turing.clock_ghz * 1e9)) / (base / (golden.clock_ghz * 1e9))
 
-    sieve = evaluate_sieve(small_context)
+    sieve = evaluate_method("sieve", small_context)
     via_sieve = predicted_speedup_between(sieve.selection, "sieve", golden, turing)
     assert via_sieve == pytest.approx(expected(SievePipeline(), sieve.selection))
 
-    pks = evaluate_pks(small_context)
+    pks = evaluate_method("pks", small_context)
     via_pks = predicted_speedup_between(pks.selection, "pks", golden, turing)
     assert via_pks == pytest.approx(expected(PksPipeline(), pks.selection))
 
@@ -109,7 +108,7 @@ def test_predicted_speedup_clock_conversion(small_context):
     import dataclasses
 
     golden = small_context.golden
-    sieve = evaluate_sieve(small_context)
+    sieve = evaluate_method("sieve", small_context)
     for factor in (0.5, 2.0):
         faster = dataclasses.replace(golden, clock_ghz=golden.clock_ghz * factor)
         predicted = predicted_speedup_between(

@@ -16,9 +16,11 @@ from repro.evaluation.engine import (
     run_task,
     source_fingerprint,
 )
+from repro.methods import MethodRequest
 from repro.robustness.diagnostics import capture_diagnostics
 from repro.robustness.faults import parse_fault_plan
 from repro.utils.errors import EngineError
+from repro.workloads.catalog import CHALLENGING_SUITES, specs_for_suites
 
 CAP = 800
 LABELS = ["cactus/gru", "cactus/gst"]
@@ -26,7 +28,7 @@ LABELS = ["cactus/gru", "cactus/gst"]
 
 def task_for(label="cactus/gru", **overrides):
     fields = dict(label=label, max_invocations=CAP,
-                  sieve_config=SieveConfig(theta=0.4))
+                  methods=(MethodRequest("sieve", SieveConfig(theta=0.4)), "pks"))
     fields.update(overrides)
     return EvaluationTask(**fields)
 
@@ -42,7 +44,7 @@ def test_cache_key_is_stable():
 @pytest.mark.parametrize("overrides", [
     {"label": "cactus/gst"},
     {"max_invocations": CAP + 1},
-    {"sieve_config": SieveConfig(theta=0.7)},
+    {"methods": (MethodRequest("sieve", SieveConfig(theta=0.7)), "pks")},
     {"fault_plan": parse_fault_plan("nan:0.1")},
     {"methods": ("sieve",)},
 ])
@@ -125,37 +127,29 @@ def test_bad_jobs_rejected():
         EngineConfig(jobs=0)
 
 
-def test_pool_failure_degrades_to_serial(tmp_path, monkeypatch):
-    import repro.evaluation.engine as engine_module
-    from repro.observability import manifest as obs_manifest
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_unknown_workload_raises_key_error_at_every_jobs(jobs):
+    """A forked task's exception reaches the caller as its own type."""
+    engine = EvaluationEngine(EngineConfig(jobs=jobs, use_cache=False))
+    with pytest.raises(KeyError):
+        engine.run([task_for("cactus/gru"), task_for("no-such-suite/no-such-workload")])
 
-    def broken_pool(jobs, tasks):
-        raise OSError("fork bomb protection")
 
-    monkeypatch.setattr(engine_module, "_pool_map", broken_pool)
-    engine = EvaluationEngine(EngineConfig(jobs=4, cache_dir=tmp_path))
-    events_mark = obs_manifest.events_mark()
-    with capture_diagnostics() as caught:
-        results = engine.run([task_for(label) for label in LABELS])
-    assert [r.label for r in results] == LABELS
-    # The degradation reaches diagnostics AND the manifest event stream,
-    # both carrying the originating exception's repr.
-    engine_diags = [c for c in caught if c.source == "engine"]
-    assert engine_diags
-    assert "OSError('fork bomb protection')" in engine_diags[0].message
-    failures = [
-        e for e in obs_manifest.events(since=events_mark)
-        if e["kind"] == "engine.pool_failure"
+def test_results_byte_identical_across_jobs_for_table_one():
+    """For the 16 Cactus + MLPerf workloads of Figure 3, whole result
+    dicts, not just each MethodResult, pickle to the same bytes at jobs=2
+    as in process: workers are forked, never sent a pickled task, so dict
+    keys keep their identity with the results."""
+    tasks = [
+        EvaluationTask(label=spec.label, max_invocations=1200)
+        for spec in specs_for_suites(CHALLENGING_SUITES)
     ]
-    assert failures
-    assert failures[0]["exception"] == "OSError('fork bomb protection')"
-    assert failures[0]["tasks"] == len(LABELS)
-
-    strict = EvaluationEngine(
-        EngineConfig(jobs=4, cache_dir=tmp_path / "strict", serial_fallback=False)
-    )
-    with pytest.raises(OSError):
-        strict.run([task_for(label, max_invocations=CAP + 16) for label in LABELS])
+    assert len(tasks) == 16
+    serial = EvaluationEngine(EngineConfig(jobs=1, use_cache=False)).run(tasks)
+    parallel = EvaluationEngine(EngineConfig(jobs=2, use_cache=False)).run(tasks)
+    for left, right in zip(serial, parallel):
+        assert left.label == right.label
+        assert pickle.dumps(left.results) == pickle.dumps(right.results), left.label
 
 
 def test_worker_exception_propagates(tmp_path):

@@ -77,12 +77,17 @@ def test_cache_keys_deterministic_across_processes_inputs(label, cap, theta):
     # is part of the identity.
     from repro.core.config import SieveConfig
     from repro.evaluation.engine import EvaluationTask
+    from repro.methods import MethodRequest
 
     task = EvaluationTask(
-        label=label, max_invocations=cap, sieve_config=SieveConfig(theta=theta)
+        label=label,
+        max_invocations=cap,
+        methods=(MethodRequest("sieve", SieveConfig(theta=theta)), "pks"),
     )
     again = EvaluationTask(
-        label=label, max_invocations=cap, sieve_config=SieveConfig(theta=theta)
+        label=label,
+        max_invocations=cap,
+        methods=(MethodRequest("sieve", SieveConfig(theta=theta)), "pks"),
     )
     assert task.cache_key() == again.cache_key()
     assert spec_for(label).content_hash() == spec_for(label).content_hash()

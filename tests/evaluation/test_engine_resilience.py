@@ -1,13 +1,14 @@
 """Resilience tests for the hardened evaluation engine.
 
-Covers the failure paths the fuzz campaign leans on: partial-result
-reuse when the process pool dies mid-run, crash isolation with bounded
+Covers the failure paths the fuzz campaign leans on: a dead worker
+costing one retried attempt under ``run``, crash isolation with bounded
 retries and deadlines, the quarantine strike list, and the determinism
 contract under injected task-surface faults (``jobs=1`` and ``jobs=4``
 must produce byte-identical surviving results).
 """
 
 import pickle
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -18,12 +19,11 @@ from repro.evaluation.engine import (
     EngineConfig,
     EvaluationEngine,
     EvaluationTask,
-    PoolFailure,
     Quarantine,
     RetryPolicy,
     TaskOutcome,
-    run_task,
 )
+from repro.robustness.diagnostics import capture_diagnostics
 from repro.robustness.faults import parse_fault_plan
 from repro.utils.errors import EngineError, TaskCrashError
 
@@ -51,53 +51,45 @@ def engine_for(tmp_path, jobs=1, use_cache=True, **overrides):
 
 
 # --------------------------------------------------------------------- #
-# Satellite: partial-result reuse on pool failure
+# run() at jobs > 1: the supervised executor
 
 
-def test_pool_failure_reuses_completed_results(tmp_path, monkeypatch):
-    """A pool that dies after task 1 of 2 must not recompute task 1."""
+def test_run_retries_a_crashed_attempt(tmp_path, crash_first_attempt):
+    """A worker dying via os._exit costs one retried attempt, and the
+    retried result is byte-identical to the in-process run."""
     tasks = [task_for(label) for label in LABELS]
-    first = run_task(tasks[0])
+    serial = engine_for(tmp_path / "serial", jobs=1, use_cache=False).run(tasks)
+    marker = crash_first_attempt()
+    with capture_diagnostics() as caught:
+        parallel = engine_for(tmp_path / "forked", jobs=2).run(tasks)
+    assert marker.exists()
+    retries = [c for c in caught if c.source == "engine.isolated"]
+    assert len(retries) == 1 and "failed (crash)" in retries[0].message
+    assert [r.label for r in parallel] == LABELS
+    for left, right in zip(serial, parallel):
+        assert pickle.dumps(left.results) == pickle.dumps(right.results)
 
-    def dying_pool(jobs, pool_tasks):
-        raise PoolFailure([first], OSError("worker lost"))
-
-    monkeypatch.setattr(engine_mod, "_pool_map", dying_pool)
-    recomputed = []
-    real_run_task = run_task
-    monkeypatch.setattr(
-        engine_mod,
-        "run_task",
-        lambda task: recomputed.append(task.label) or real_run_task(task),
-    )
-
-    engine = engine_for(tmp_path, jobs=2)
-    results = engine.run(tasks)
-    assert [r.label for r in results] == LABELS
-    # Only the task *after* the failure point ran serially.
-    assert recomputed == [LABELS[1]]
-    assert pickle.dumps(results[0].results) == pickle.dumps(first)
-
-    # Cache re-emission: the reused prefix was written through too, so a
-    # fresh engine on the same cache serves everything warm.
-    warm = engine_for(tmp_path, jobs=1)
-    replay = warm.run(tasks)
+    # The retried result was written through like any other.
+    replay = engine_for(tmp_path / "forked", jobs=1).run(tasks)
     assert all(r.from_cache for r in replay)
-    for before, after in zip(results, replay):
-        assert pickle.dumps(before.results) == pickle.dumps(after.results)
 
 
-def test_pool_failure_without_fallback_reraises_cause(tmp_path, monkeypatch):
-    cause = OSError("worker lost")
-    monkeypatch.setattr(
-        engine_mod,
-        "_pool_map",
-        lambda jobs, tasks: (_ for _ in ()).throw(PoolFailure([], cause)),
-    )
-    engine = engine_for(tmp_path, jobs=2, serial_fallback=False)
-    with pytest.raises(OSError) as excinfo:
+class _Unpicklable(RuntimeError):
+    def __init__(self):
+        super().__init__("holds a lock")
+        self.lock = threading.Lock()
+
+
+def test_run_raises_task_crash_error_when_the_cause_cannot_pickle(
+    tmp_path, monkeypatch
+):
+    def broken(task):
+        raise _Unpicklable()
+
+    monkeypatch.setattr(engine_mod, "run_task", broken)
+    engine = engine_for(tmp_path, jobs=2, use_cache=False)
+    with pytest.raises(TaskCrashError, match="holds a lock"):
         engine.run([task_for(label) for label in LABELS])
-    assert excinfo.value is cause
 
 
 # --------------------------------------------------------------------- #

@@ -2,9 +2,9 @@
 
 The contract under test (see :mod:`repro.evaluation.shm`): the engine
 owns every segment it publishes and *always* unlinks them — on a normal
-``close()`` (idempotently), on a process-pool failure, and when an
-isolated child crashes mid-task — while workers only ever attach and
-close their own mapping. "No leaked segments" is asserted the strong
+``close()`` (idempotently), after a forked worker dies and is retried,
+and when an isolated child crashes mid-task — while workers only ever
+attach and close their own mapping. "No leaked segments" is asserted the strong
 way: after cleanup, attaching by name must raise ``FileNotFoundError``.
 """
 
@@ -20,7 +20,6 @@ from repro.evaluation.engine import (
     EngineConfig,
     EvaluationEngine,
     EvaluationTask,
-    PoolFailure,
     run_task,
 )
 from repro.evaluation.shm import _LIVE_PLANES, _attach_segment, attached_context
@@ -109,20 +108,24 @@ def test_release_refcounts_dedup(tmp_path, bundle):
 # Failure paths
 
 
-def test_pool_failure_leaves_no_segments(tmp_path, monkeypatch, bundle):
-    """A dying pool degrades to serial; close still reaps the segment."""
+def test_dead_worker_leaves_no_segments(tmp_path, bundle, crash_first_attempt):
+    """run() at jobs=2 retries a worker that died mid-task; the owner's
+    segment survives the death and close still reaps it."""
     table, golden = bundle
-    monkeypatch.setattr(
-        engine_mod,
-        "_pool_map",
-        lambda jobs, tasks: (_ for _ in ()).throw(
-            PoolFailure([], OSError("worker lost"))
+    engine = engine_for(
+        tmp_path,
+        jobs=2,
+        retry=engine_mod.RetryPolicy(
+            max_attempts=2, deadline_s=60.0, backoff_base_s=0.0
         ),
     )
-    engine = engine_for(tmp_path, jobs=4)
     ref = engine.publish_table(table, golden)
-    [result] = engine.run([table_task(ref)])
-    assert result.results["sieve"].error >= 0.0
+    marker = crash_first_attempt()
+    sieve, pks = engine.run([table_task(ref), table_task(ref, methods=("pks",))])
+    assert marker.exists()
+    assert sieve.results["sieve"].error >= 0.0
+    assert pks.results["pks"].error >= 0.0
+    assert not segment_is_gone(ref.segment)  # owner still holds it
     engine.close()
     assert segment_is_gone(ref.segment)
 

@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.config import SieveConfig
 from repro.evaluation.engine import EngineConfig, EvaluationEngine, EvaluationTask
+from repro.methods import MethodRequest
 from repro.observability import metrics as obs_metrics
 from repro.observability import spans, state
 from repro.observability.export import (
@@ -119,16 +120,16 @@ def test_canonical_events_nesting_and_seq():
 def test_canonical_paths_elide_engine_infra():
     with spans.capture_spans() as caught:
         with span("engine.run"):
-            with span("engine.pool"):
+            with span("engine.attempt", workload="w/a", attempt=0):
                 with span("engine.task", workload="w/a"):
                     with span("sieve.predict", workload="w/a"):
                         pass
     events = canonical_events(caught)
     paths = {event["path"] for event in events}
-    # The pool span vanishes; paths restart at the last engine.task.
+    # The attempt span vanishes; paths restart at the last engine.task.
     assert "engine.task[w/a]" in paths
     assert "engine.task[w/a]/sieve.predict[w/a]" in paths
-    assert not any("engine.pool" in path for path in paths)
+    assert not any("engine.attempt" in path for path in paths)
 
 
 def test_structural_export_drops_timing_fields():
@@ -274,7 +275,7 @@ def engine_spans(jobs: int, tmp_path):
         EvaluationTask(
             label=label,
             max_invocations=500,
-            sieve_config=SieveConfig(theta=0.4),
+            methods=(MethodRequest("sieve", SieveConfig(theta=0.4)), "pks"),
         )
         for label in ("cactus/gru", "cactus/gst", "cactus/lmc")
     ]

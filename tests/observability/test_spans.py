@@ -1,5 +1,6 @@
 """Span nesting, exception safety, disabled mode and overhead bounds."""
 
+import threading
 import time
 
 import pytest
@@ -29,6 +30,27 @@ def test_nesting_parent_child_and_depth():
     assert by_name["inner"].depth == 1
     assert by_name["inner"].span_id == inner.span_id
     assert by_name["inner"].attrs == {"k": 1}
+
+
+def test_helper_thread_continues_the_callers_stack():
+    """A helper thread seeded with the caller's stack nests its spans
+    under the caller's live span instead of recording a root."""
+    with spans.capture_spans() as caught:
+        with span("outer") as outer:
+            stack = spans.current_stack()
+
+            def helper():
+                spans.continue_stack(stack)
+                with span("helper"):
+                    pass
+
+            thread = threading.Thread(target=helper)
+            thread.start()
+            thread.join(5.0)
+            assert not thread.is_alive()
+    record = next(r for r in caught if r.name == "helper")
+    assert record.parent_id == outer.span_id
+    assert record.depth == 1
 
 
 def test_records_are_completion_ordered():

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import http.server
+import threading
+import time
+
 import pytest
 
 from repro.service import loadgen, protocol
@@ -159,3 +163,55 @@ def test_open_loop_honors_offsets(service):
     # 8 requests at 40 rps = last release at 0.175s; the run can't
     # finish faster than the schedule allows.
     assert report.duration_s >= 0.15
+
+
+class _StallFirstHandler(http.server.BaseHTTPRequestHandler):
+    """Answers every POST with ``{}``; the first one only after a stall."""
+
+    protocol_version = "HTTP/1.1"
+    stall_s = 0.3
+    served = 0
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        if type(self).served == 0:
+            time.sleep(self.stall_s)
+        type(self).served += 1
+        body = b"{}"
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+def test_open_loop_latency_counts_a_stall_ahead_in_the_queue():
+    """Two requests released together behind one client: the second waits
+    out the first one's stall, so its latency must include it."""
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _StallFirstHandler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    requests = tuple(
+        loadgen.ScheduledRequest(
+            index=i,
+            offset_s=0.0,
+            route=protocol.SELECT_ROUTE,
+            payload={"workload": "rodinia/nw", "method": "periodic"},
+        )
+        for i in range(2)
+    )
+    try:
+        report = loadgen.run_loadgen(
+            *server.server_address[:2], requests, clients=1, open_loop=True
+        )
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()
+    first, second = report.records
+    assert first.status == second.status == 200
+    assert first.latency_s >= _StallFirstHandler.stall_s
+    assert second.latency_s >= _StallFirstHandler.stall_s

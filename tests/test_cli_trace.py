@@ -6,7 +6,7 @@ from repro.cli import main
 def test_trace_then_simulate_round_trip(tmp_path, capsys):
     out = tmp_path / "traces"
     assert main([
-        "--cap", "800", "trace", "cactus/gru", "--out", str(out),
+        "--cap", "800", "trace", "selection", "cactus/gru", "--out", str(out),
         "--limit", "3", "--max-warps", "4", "--max-insns", "64",
     ]) == 0
     written = sorted(out.glob("*.trace"))
