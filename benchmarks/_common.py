@@ -98,21 +98,16 @@ def engine_summary() -> str:
     return f"engine: jobs={engine.config.jobs}, cache {cache}"
 
 
-def manifest_mark() -> tuple[int, int, float, float]:
-    """Snapshot telemetry cursors before a bench's measured work."""
-    return (
-        obs_spans.mark(),
-        obs_manifest.events_mark(),
-        time.perf_counter(),
-        time.process_time(),
-    )
+def manifest_mark() -> tuple[int, float, float]:
+    """Snapshot the telemetry mark and clocks before a bench's measured work."""
+    return (obs_spans.mark(), time.perf_counter(), time.process_time())
 
 
 def write_bench_manifest(
     figure: str,
     rows,
     aggregates: dict,
-    mark: tuple[int, int, float, float],
+    mark: tuple[int, float, float],
 ) -> Path | None:
     """Write ``BENCH_<figure>.json`` to ``SIEVE_BENCH_MANIFEST_DIR``.
 
@@ -131,7 +126,7 @@ def write_bench_manifest(
     from repro.evaluation.experiments import collect_attributions
     from repro.observability.export import write_chrome_trace
 
-    since, events_since, wall_start, cpu_start = mark
+    since, wall_start, cpu_start = mark
     attribution = collect_attributions(rows)
     manifest = obs_manifest.collect_manifest(
         f"bench {figure}",
@@ -140,7 +135,6 @@ def write_bench_manifest(
         workloads=[comparison_row_dict(row) for row in rows],
         aggregates={key: float(value) for key, value in aggregates.items()},
         since=since,
-        events_since=events_since,
         total_wall_s=time.perf_counter() - wall_start,
         total_cpu_s=time.process_time() - cpu_start,
         attribution=attribution,
@@ -153,7 +147,7 @@ def write_bench_manifest(
     from repro.perfstore.store import maybe_record
 
     maybe_record(manifest, figure=figure)
-    window = obs_spans.records()[since:]
+    window = obs_spans.records(since=since)
     if window:
         trace_path = write_chrome_trace(Path(directory) / f"TRACE_{figure}.json", window)
         emit(f"trace: {trace_path}")

@@ -46,7 +46,7 @@ def run_once(context):
     """
     mark = obs_spans.mark()
     results = [evaluate_method(m, context) for m in ("sieve", "pks")]
-    return results, obs_spans.records()[mark:]
+    return results, obs_spans.records(since=mark)
 
 
 def main(argv: list[str] | None = None) -> int:

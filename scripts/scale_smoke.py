@@ -243,12 +243,12 @@ def run_shm_round_trip(report: ScaleReport, jobs: int = 1) -> None:
     ), "shared-memory evaluation diverged from direct evaluation"
 
 
-def write_manifest(report: ScaleReport, mark: tuple[int, int, float, float]):
+def write_manifest(report: ScaleReport, mark: tuple[int, float, float]):
     """Write ``BENCH_scale.json`` when ``SIEVE_BENCH_MANIFEST_DIR`` is set."""
     directory = os.environ.get("SIEVE_BENCH_MANIFEST_DIR")
     if not directory:
         return None
-    since, events_since, wall_start, cpu_start = mark
+    since, wall_start, cpu_start = mark
     # Measured speedups are informational, and they ride as an event
     # rather than config keys: the perfstore fingerprints ``config`` to
     # group runs of the same experiment *shape*, so run-varying
@@ -285,7 +285,6 @@ def write_manifest(report: ScaleReport, mark: tuple[int, int, float, float]):
             "shm_unlinked": report.shm_counters.get("unlinked", 0),
         },
         since=since,
-        events_since=events_since,
         total_wall_s=time.perf_counter() - wall_start,
         total_cpu_s=time.process_time() - cpu_start,
     )
@@ -293,7 +292,7 @@ def write_manifest(report: ScaleReport, mark: tuple[int, int, float, float]):
     from repro.perfstore.store import maybe_record
 
     maybe_record(manifest, figure="scale")
-    window = obs_spans.records()[since:]
+    window = obs_spans.records(since=since)
     if window:
         from repro.observability.export import write_chrome_trace
 
@@ -335,8 +334,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="skip the shared-memory engine round trip")
     args = parser.parse_args(argv)
 
-    mark = (obs_spans.mark(), obs_manifest.events_mark(),
-            time.perf_counter(), time.process_time())
+    mark = (obs_spans.mark(), time.perf_counter(), time.process_time())
     report = run_scale(args.kernels, args.cap, args.repeats)
     if not args.skip_shm:
         run_shm_round_trip(report, jobs=args.jobs)

@@ -152,12 +152,12 @@ def check_picks_identical(streamed, batch) -> None:
         assert got == want, f"pick diverged:\n  streamed {got}\n  batch    {want}"
 
 
-def write_manifest(report: dict, mark: tuple[int, int, float, float]):
+def write_manifest(report: dict, mark: tuple[int, float, float]):
     """Write ``BENCH_streaming.json`` when ``SIEVE_BENCH_MANIFEST_DIR`` is set."""
     directory = os.environ.get("SIEVE_BENCH_MANIFEST_DIR")
     if not directory:
         return None
-    since, events_since, wall_start, cpu_start = mark
+    since, wall_start, cpu_start = mark
     # The measured RSS delta is informational and run-varying, so it
     # rides as an event: config keys feed the perfstore's experiment-
     # shape fingerprint and must stay stable across repeats. The memory
@@ -186,7 +186,6 @@ def write_manifest(report: dict, mark: tuple[int, int, float, float]):
             "picks_identical": 1,
         },
         since=since,
-        events_since=events_since,
         total_wall_s=time.perf_counter() - wall_start,
         total_cpu_s=time.process_time() - cpu_start,
     )
@@ -215,8 +214,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    mark = (obs_spans.mark(), obs_manifest.events_mark(),
-            time.perf_counter(), time.process_time())
+    mark = (obs_spans.mark(), time.perf_counter(), time.process_time())
     config = SieveConfig()
     with span("streaming.feed", rows=args.rows):
         table = build_feed(args.rows)

@@ -1449,7 +1449,7 @@ def _trace_config(args) -> dict:
     return config
 
 
-def _write_manifest(args, captured: list[dict]) -> None:
+def _write_manifest(args) -> None:
     from datetime import datetime, timezone
 
     manifest = obs_manifest.collect_manifest(
@@ -1458,9 +1458,7 @@ def _write_manifest(args, captured: list[dict]) -> None:
         engine=_trace_artifacts.get("engine"),
         workloads=_trace_artifacts.get("workloads", ()),
         aggregates=_trace_artifacts.get("aggregates"),
-        diagnostics=captured,
-        since=_trace_artifacts["spans_mark"],
-        events_since=_trace_artifacts["events_mark"],
+        since=_trace_artifacts["mark"],
         created=datetime.now(timezone.utc).isoformat(timespec="seconds"),
         include_spans=True,
         attribution=_trace_artifacts.get("attribution", ()),
@@ -1477,30 +1475,20 @@ def _write_manifest(args, captured: list[dict]) -> None:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = build_parser().parse_args(argv)
-    unsubscribe = None
+
+    def print_diagnostic(record: diagnostics.Diagnostic) -> None:
+        print(str(record), file=sys.stderr)
+
     if not args.quiet_diagnostics:
-        unsubscribe = diagnostics.subscribe(
-            lambda record: print(str(record), file=sys.stderr)
-        )
-    captured: list[dict] = []
-    capture_unsubscribe = diagnostics.subscribe(
-        lambda record: captured.append(
-            {
-                "severity": record.severity,
-                "source": record.source,
-                "message": record.message,
-            }
-        )
-    )
+        obs_spans.add_sink(print_diagnostic, diagnostics.Diagnostic)
     _trace_artifacts.clear()
-    _trace_artifacts["spans_mark"] = obs_spans.mark()
-    _trace_artifacts["events_mark"] = obs_manifest.events_mark()
+    _trace_artifacts["mark"] = obs_spans.mark()
     stream_sink = None
     if args.stream_spans:
         from repro.observability.export import JsonlStreamSink
 
         stream_sink = JsonlStreamSink(args.stream_spans)
-        obs_spans.add_sink(stream_sink)
+        obs_spans.add_sink(stream_sink.emit, obs_spans.SpanRecord)
     try:
         if args.inject_faults and args.command not in FAULT_AWARE_COMMANDS:
             diagnostics.emit(
@@ -1517,7 +1505,7 @@ def main(argv: list[str] | None = None) -> int:
         with span(f"cli.{args.command}"):
             exit_code = args.handler(args) or 0
         if args.trace_out:
-            _write_manifest(args, captured)
+            _write_manifest(args)
         return exit_code
     except BrokenPipeError:
         # Output piped into a pager/head that closed early — not an error.
@@ -1528,11 +1516,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     finally:
         if stream_sink is not None:
-            obs_spans.remove_sink(stream_sink)
+            obs_spans.remove_sink(stream_sink.emit)
             stream_sink.close()
-        capture_unsubscribe()
-        if unsubscribe is not None:
-            unsubscribe()
+        obs_spans.remove_sink(print_diagnostic)
 
 
 if __name__ == "__main__":

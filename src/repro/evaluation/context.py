@@ -12,7 +12,7 @@ from functools import lru_cache
 
 from repro.gpu.arch import AMPERE_RTX3080, TURING_RTX2080TI, GpuArchitecture
 from repro.gpu.hardware import HardwareExecutor, WorkloadMeasurement
-from repro.observability import metrics, span
+from repro.observability import metrics, record_event, span
 from repro.profiling.cost import ProfilingCost
 from repro.profiling.nsight import NsightComputeProfiler
 from repro.profiling.nvbit import NVBitProfiler
@@ -86,9 +86,18 @@ def _cached_context(
             # the clean reference (``WorkloadContext.truth``).
             clean_golden = golden
             with span("context.inject_faults", workload=label):
-                sieve_table, _ = inject_table_faults(sieve_table, fault_plan)
-                pks_table, _ = inject_table_faults(pks_table, fault_plan)
-                golden, _ = inject_measurement_faults(golden, fault_plan)
+                sieve_table, sieve_faults = inject_table_faults(sieve_table, fault_plan)
+                pks_table, pks_faults = inject_table_faults(pks_table, fault_plan)
+                golden, golden_faults = inject_measurement_faults(golden, fault_plan)
+            # The manifest must say which inputs a run's accuracy was judged on.
+            record_event(
+                "context.faults_injected",
+                workload=label,
+                plan=fault_plan.describe(),
+                sieve_table=len(sieve_faults),
+                pks_table=len(pks_faults),
+                golden=len(golden_faults),
+            )
         metrics.inc("context.builds")
         metrics.observe("context.invocations", run.num_invocations)
     return WorkloadContext(

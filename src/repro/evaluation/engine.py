@@ -57,7 +57,6 @@ from repro.evaluation.shm import (
 from repro.methods import MethodRequest, get_method
 from repro.observability import manifest as obs_manifest
 from repro.observability import metrics, spans
-from repro.observability import state as obs_state
 from repro.observability.spans import span
 from repro.robustness import diagnostics
 from repro.robustness.faults import FaultPlan, task_sabotage
@@ -572,13 +571,14 @@ def _isolated_child(task: EvaluationTask, attempt: int, sabotage: bool, conn) ->
     ``(plan.seed, mode, label, attempt)`` — never on scheduling — so
     ``jobs=1`` and ``jobs=N`` campaigns sabotage identically.
 
-    The child then runs the task and ships ``(results, spans, metrics
-    snapshot, events)`` back. Telemetry inherited through the fork is
-    reset first (counting it twice would corrupt the merge), so the
-    snapshot is exactly this task's delta; live sinks are dropped too,
-    since they wrap parent-owned file handles. The parent adopts spans
-    under its fan-out span and merges metrics and events in task input
-    order, which keeps the merged telemetry byte-equal to a serial run's.
+    The child then runs the task and ships ``(results, ring window,
+    metrics snapshot)`` back. It first drops the live sinks (they wrap
+    parent-owned handles and would print out of order) and resets the
+    telemetry ring and registry inherited through the fork (counting
+    them twice would corrupt the merge), so the window — spans, events
+    and diagnostics — is exactly this task's. The parent adopts the
+    window under its fan-out span and merges metrics in task input
+    order, which keeps the merged telemetry equal to a serial run's.
     """
     try:
         if sabotage and task.fault_plan is not None:
@@ -593,17 +593,11 @@ def _isolated_child(task: EvaluationTask, attempt: int, sabotage: bool, conn) ->
                     workload=task.label,
                     attempt=attempt,
                 )
-        spans.reset()
         spans.clear_sinks()
+        spans.reset()
         metrics.get_registry().reset()
-        obs_manifest.reset_events()
         results = run_task(task)
-        telemetry = (
-            results,
-            spans.records(),
-            metrics.get_registry().snapshot(),
-            obs_manifest.events(),
-        )
+        telemetry = (results, spans.window(), metrics.get_registry().snapshot())
         conn.send(("ok", telemetry, None))
     except BaseException as exc:  # noqa: BLE001 — ship *any* failure to the parent
         try:
@@ -919,11 +913,10 @@ class EvaluationEngine:
             outcomes[index] = outcome
             if outcome.ok:
                 self._cache_put(keys.get(index), dict(outcome.results))
-                if telemetry is not None and obs_state.enabled():
-                    _, worker_spans, snapshot, worker_events = telemetry
-                    spans.adopt(worker_spans, parent_id=fan_out_span.span_id)
+                if telemetry is not None:
+                    _, window, snapshot = telemetry
+                    spans.adopt(window, parent_id=fan_out_span.span_id)
                     metrics.get_registry().merge(snapshot)
-                    obs_manifest.extend_events(worker_events)
             elif not isolated:
                 raise outcome.cause or TaskCrashError(
                     f"task {outcome.label!r} failed after {outcome.attempts} attempts",

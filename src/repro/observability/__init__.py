@@ -3,7 +3,11 @@
 Three primitives, one artifact:
 
 * :func:`span` — ``with span("stage", **attrs):`` measures wall/CPU time
-  and nesting of one pipeline stage (:mod:`repro.observability.spans`);
+  and nesting of one pipeline stage into the one bounded telemetry ring
+  (:mod:`repro.observability.spans`), which also holds events
+  (:func:`record_event`) and diagnostics
+  (:func:`repro.robustness.diagnostics.emit`) under one mark, one cap,
+  one sink API and one worker hand-off;
 * :class:`MetricsRegistry` — process-wide counters/gauges/histograms
   with deterministic aggregation (:mod:`repro.observability.metrics`);
 * :class:`RunManifest` — a single JSON artifact per run: config, package
@@ -13,7 +17,8 @@ Three primitives, one artifact:
   :mod:`repro.observability.report` and gated by
   :mod:`repro.perfstore.gate`.
 
-``SIEVE_OBS=off`` turns the whole layer into a no-op.
+``SIEVE_OBS=off`` turns spans and metrics into no-ops; events and
+diagnostics are always recorded.
 """
 
 from repro.observability.manifest import (

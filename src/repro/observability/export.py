@@ -3,9 +3,10 @@
 Three consumers, three formats:
 
 * **JSONL** — one JSON object per span. :class:`JsonlStreamSink` streams
-  records to disk as they finish (register with
-  :func:`repro.observability.spans.add_sink`; worker-shipped spans are
-  appended at engine merge time, in task input order).
+  records to disk as they finish (register its ``emit`` with
+  :func:`repro.observability.spans.add_sink` for
+  :class:`~repro.observability.spans.SpanRecord`; worker-shipped spans
+  are appended at engine merge time, in task input order).
   :func:`export_jsonl` renders a finished record set *canonically*:
   events are keyed by a stable span path and sorted by ``(path, seq)``,
   so two runs with identical structure export byte-identical text. The

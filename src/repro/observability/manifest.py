@@ -6,7 +6,10 @@ the package version and source fingerprint (so a manifest is traceable
 to exact code), cache hit/miss statistics, per-stage timing statistics
 aggregated from :mod:`repro.observability.spans`, per-workload accuracy
 rows, the metrics registry snapshot, structured events (e.g. a task
-quarantined) and any degraded-path diagnostics.
+quarantined) and any degraded-path diagnostics. Spans, events and
+diagnostics all come from one window of the one telemetry ring
+(:func:`repro.observability.spans.window`), so a run's record of its
+fallbacks is the same at any ``--jobs``.
 
 Manifests round-trip through JSON losslessly (``to_json``/``from_json``).
 The committed ``benchmarks/perfstore`` snapshot stores them as baseline
@@ -50,33 +53,14 @@ def package_version() -> str:
 
 # ------------------------------------------------------------------ events
 
-_events: list[dict] = []
-
 
 def record_event(kind: str, **fields) -> dict:
-    """Record a structured, manifest-bound event (always on: events are
-    rare and load-bearing — a task failure must reach the manifest even
-    when tracing is disabled)."""
+    """Publish a structured, manifest-bound event to the telemetry ring
+    (always on: events are rare and load-bearing — a task failure must
+    reach the manifest even when tracing is disabled)."""
     event = {"kind": kind, **fields}
-    _events.append(event)
+    spans.publish(event)
     return event
-
-
-def events(since: int = 0) -> tuple[dict, ...]:
-    return tuple(_events[since:])
-
-
-def events_mark() -> int:
-    return len(_events)
-
-
-def reset_events() -> None:
-    _events.clear()
-
-
-def extend_events(shipped: Iterable[Mapping]) -> None:
-    """Merge events shipped from a worker process (engine telemetry merge)."""
-    _events.extend(dict(event) for event in shipped)
 
 
 # ------------------------------------------------------------------ stages
@@ -241,16 +225,15 @@ def collect_manifest(
     engine=None,  # duck-typed EvaluationEngine (avoids a layering cycle)
     workloads: Sequence[Mapping] = (),
     aggregates: Mapping | None = None,
-    diagnostics: Sequence[Mapping] = (),
     since: int = 0,
-    events_since: int = 0,
     total_wall_s: float | None = None,
     total_cpu_s: float | None = None,
     created: str = "",
     include_spans: bool = False,
     attribution: Sequence[Mapping] = (),
 ) -> RunManifest:
-    """Assemble a manifest from the telemetry recorded since ``since``.
+    """Assemble a manifest from the ring window opened at mark ``since``:
+    its spans, events and diagnostics.
 
     ``total_wall_s`` defaults to the summed wall time of the root spans
     in the window (for the CLI that is the single span wrapping the
@@ -260,7 +243,11 @@ def collect_manifest(
     error-attribution dicts
     (:meth:`repro.observability.attribution.ErrorAttribution.to_dict`).
     """
-    window = spans.records(since=since)
+    # Deferred: robustness.diagnostics imports this package.
+    from repro.robustness.diagnostics import Diagnostic
+
+    records = spans.window(since)
+    window = [record for record in records if isinstance(record, spans.SpanRecord)]
     if total_wall_s is None:
         total_wall_s = sum(r.wall_s for r in window if r.depth == 0 and r.proc == "main")
     if total_cpu_s is None:
@@ -291,12 +278,8 @@ def collect_manifest(
         aggregates=dict(aggregates or {}),
         cache=cache,
         metrics=metrics.get_registry().snapshot(),
-        events=events(since=events_since),
-        diagnostics=tuple(dict(d) for d in diagnostics),
-        spans=tuple(
-            _span_dict(record) for record in window
-        )
-        if include_spans
-        else (),
+        events=tuple(dict(r) for r in records if isinstance(r, dict)),
+        diagnostics=tuple(asdict(r) for r in records if isinstance(r, Diagnostic)),
+        spans=tuple(_span_dict(record) for record in window) if include_spans else (),
         attribution=tuple(dict(entry) for entry in attribution),
     )

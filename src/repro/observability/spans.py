@@ -1,10 +1,15 @@
-"""Structured tracing: ``span("stage", **attrs)`` context managers.
+"""Structured tracing and the one telemetry ring.
 
 A span measures one pipeline stage: wall time (``time.perf_counter``),
 CPU time (``time.process_time``) and nesting (parent/depth), plus
-arbitrary JSON-able attributes. Finished spans land in a process-global,
-bounded record list that :mod:`repro.observability.manifest` aggregates
-into per-stage statistics.
+arbitrary JSON-able attributes. Finished spans land in the
+process-global, bounded telemetry ring this module owns. The ring also
+holds the other two record types, in arrival order:
+:class:`~repro.robustness.diagnostics.Diagnostic`\\ s (from
+:func:`repro.robustness.diagnostics.emit`) and event dicts (from
+:func:`repro.observability.manifest.record_event`). One sequence numbers
+all three, so one :func:`mark` opens one :func:`window` over all of
+them, and :mod:`repro.observability.manifest` aggregates that window.
 
 Design constraints, in order:
 
@@ -12,27 +17,35 @@ Design constraints, in order:
   :func:`repro.observability.state.set_enabled` ``(False)``) ``span()``
   returns one shared null context manager — no allocation, no clock
   reads. The no-op-overhead test in
-  ``tests/observability/test_spans.py`` pins this.
+  ``tests/observability/test_spans.py`` pins this. Diagnostics and
+  events are recorded either way.
+* **Bounded.** :data:`MAX_RECORDS` caps the ring for every record type;
+  eviction is O(1) and reading the newest k records costs O(k).
 * **Exception safe.** A span closes (and records the exception type in
   its ``error`` field) even when its body raises; the stack always
   unwinds, so one failing stage cannot corrupt the trace of the next.
-* **Picklable records.** Worker processes ship their span records back
-  to the parent through the evaluation engine's supervised executor;
-  :func:`adopt` grafts them under the parent's fan-out span with fresh
-  ids and a ``proc`` tag so self-time accounting stays per-process.
+* **Picklable records.** A forked worker resets the ring and ships its
+  one window back through the evaluation engine's supervised executor;
+  :func:`adopt` grafts it under the parent's fan-out span, re-issuing
+  span ids with a ``proc`` tag so self-time accounting stays
+  per-process, and hands every adopted record to the sinks.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Iterable
+from itertools import islice
+from typing import Callable, Iterable, Iterator
 
 from repro.observability import state
 
-#: Upper bound on retained span records; older records are dropped FIFO
-#: (with a count kept) so week-long sessions cannot grow without bound.
+#: Upper bound on retained telemetry records of every type; the oldest
+#: are evicted FIFO (with a count kept) so week-long sessions cannot
+#: grow without bound.
 MAX_RECORDS = 500_000
 
 
@@ -75,27 +88,24 @@ class _NullSpan:
 _NULL_SPAN = _NullSpan()
 
 _lock = threading.Lock()
-_records: list[SpanRecord] = []
+_ring: deque = deque()
 _dropped = 0
 _next_id = 0
 _tls = threading.local()
 
-#: Live sinks notified of every *in-process* finished span (adopted
-#: worker records are skipped — their originating process already
-#: streamed them). See :class:`repro.observability.export.JsonlStreamSink`.
-_sinks: list = []
+#: Live sinks as ``(callback, kind)``: each callback gets every
+#: published record that is an instance of its kind.
+_sinks: list[tuple[Callable[[object], None], type]] = []
 
 
-def add_sink(sink) -> None:
-    """Register a live sink; it must expose ``emit(record: SpanRecord)``."""
-    _sinks.append(sink)
+def add_sink(sink: Callable[[object], None], kind: type) -> None:
+    """Call ``sink(record)`` for every future record of ``kind``,
+    in-process and adopted alike, in ring order."""
+    _sinks.append((sink, kind))
 
 
-def remove_sink(sink) -> None:
-    try:
-        _sinks.remove(sink)
-    except ValueError:
-        pass
+def remove_sink(sink: Callable[[object], None]) -> None:
+    _sinks[:] = [entry for entry in _sinks if entry[0] != sink]
 
 
 def clear_sinks() -> None:
@@ -129,17 +139,17 @@ def _allocate_id() -> int:
     return span_id
 
 
-def _append(record: SpanRecord) -> None:
+def publish(record) -> None:
+    """Append one record to the ring and hand it to the matching sinks."""
     global _dropped
     with _lock:
-        _records.append(record)
-        if len(_records) > MAX_RECORDS:
-            overflow = len(_records) - MAX_RECORDS
-            del _records[:overflow]
-            _dropped += overflow
-    if _sinks and record.proc == "main":
-        for sink in _sinks:
-            sink.emit(record)
+        _ring.append(record)
+        while len(_ring) > MAX_RECORDS:
+            _ring.popleft()
+            _dropped += 1
+    for sink, kind in _sinks:
+        if isinstance(record, kind):
+            sink(record)
 
 
 class _Span:
@@ -170,7 +180,7 @@ class _Span:
             stack.pop()
         if stack:
             stack.pop()
-        _append(
+        publish(
             SpanRecord(
                 name=self.name,
                 wall_s=wall,
@@ -203,21 +213,34 @@ def span(name: str, **attrs) -> _Span | _NullSpan:
 
 
 def mark() -> int:
-    """A position in the record list; pass to ``records(since=...)``.
+    """A position in the ring's sequence; pass to ``window``/``records``.
 
-    Marks taken before records were dropped under :data:`MAX_RECORDS`
+    Marks taken before records were evicted under :data:`MAX_RECORDS`
     pressure degrade gracefully (they clamp to the oldest retained
     record).
     """
     with _lock:
-        return len(_records) + _dropped
+        return len(_ring) + _dropped
+
+
+def window(since: int = 0, kind: type = object) -> tuple:
+    """Retained records of ``kind`` from mark ``since`` on, oldest first.
+
+    Walks in from the newest end, so reading the newest k records costs
+    O(k) however full the ring is.
+    """
+    with _lock:
+        newest = len(_ring) + _dropped - max(since, _dropped)
+        if newest <= 0:
+            return ()
+        tail = list(islice(reversed(_ring), newest))
+    tail.reverse()
+    return tuple(record for record in tail if isinstance(record, kind))
 
 
 def records(since: int = 0) -> tuple[SpanRecord, ...]:
     """Finished spans (completion order), optionally from a mark on."""
-    with _lock:
-        start = max(0, since - _dropped)
-        return tuple(_records[start:])
+    return window(since, SpanRecord)
 
 
 def dropped() -> int:
@@ -226,51 +249,62 @@ def dropped() -> int:
 
 
 def reset() -> None:
-    """Drop all records and live-stack state (tests, forked workers)."""
+    """Empty the ring and the live-stack state (tests, forked workers)."""
     global _dropped, _next_id
     with _lock:
-        _records.clear()
+        _ring.clear()
         _dropped = 0
         _next_id = 0
     _tls.stack = []
 
 
-def adopt(
-    shipped: Iterable[SpanRecord], parent_id: int = -1, proc: str = "worker"
-) -> tuple[SpanRecord, ...]:
-    """Graft records shipped from another process into this one.
+def adopt(shipped: Iterable, parent_id: int = -1, proc: str = "worker") -> tuple:
+    """Graft a window shipped from another process into this ring.
 
-    Ids are reassigned from this process's counter (preserving the
+    Span ids are reassigned from this process's counter (preserving the
     internal parent/child links of the batch); roots of the shipped batch
-    are re-parented under ``parent_id``; every record is tagged ``proc``
-    so self-time accounting never subtracts cross-process children.
+    are re-parented under ``parent_id``; every span is tagged ``proc`` so
+    self-time accounting never subtracts cross-process children.
+    Diagnostics and events pass through unchanged. Every record is
+    published in shipped order — the engine adopts in task input order,
+    so the ring and its sinks see the same order under any ``--jobs``.
     """
     shipped = tuple(shipped)
-    id_map = {record.span_id: _allocate_id() for record in shipped}
-    adopted = []
-    for record in shipped:
-        adopted.append(
-            replace(
-                record,
-                span_id=id_map[record.span_id],
-                parent_id=id_map.get(record.parent_id, parent_id),
-                proc=proc,
-            )
+    id_map = {
+        record.span_id: _allocate_id()
+        for record in shipped
+        if isinstance(record, SpanRecord)
+    }
+    adopted = tuple(
+        replace(
+            record,
+            span_id=id_map[record.span_id],
+            parent_id=id_map.get(record.parent_id, parent_id),
+            proc=proc,
         )
+        if isinstance(record, SpanRecord)
+        else record
+        for record in shipped
+    )
     for record in adopted:
-        _append(record)
-    # _append only streams in-process ("main") records; adopted batches
-    # are streamed here instead, in adoption order — the engine adopts in
-    # task input order, so the stream stays deterministic under --jobs.
-    if _sinks:
-        for record in adopted:
-            for sink in _sinks:
-                sink.emit(record)
-    return tuple(adopted)
+        publish(record)
+    return adopted
 
 
-def capture_spans() -> "_SpanCapture":
-    """Context manager collecting the spans finished inside it (tests).
+@contextmanager
+def capture(kind: type) -> Iterator[list]:
+    """Collect the records of ``kind`` published inside the ``with``
+    block (tests); the list fills from the ring's window on exit."""
+    caught: list = []
+    since = mark()
+    try:
+        yield caught
+    finally:
+        caught.extend(window(since, kind))
+
+
+def capture_spans():
+    """:func:`capture` for the spans finished inside the block.
 
     >>> with capture_spans() as caught:
     ...     with span("doctest.captured"):
@@ -278,17 +312,4 @@ def capture_spans() -> "_SpanCapture":
     >>> [r.name for r in caught]
     ['doctest.captured']
     """
-    return _SpanCapture()
-
-
-class _SpanCapture:
-    __slots__ = ("_mark", "_caught")
-
-    def __enter__(self) -> list[SpanRecord]:
-        self._mark = mark()
-        self._caught: list[SpanRecord] = []
-        return self._caught
-
-    def __exit__(self, *exc) -> bool:
-        self._caught.extend(records(since=self._mark))
-        return False
+    return capture(SpanRecord)

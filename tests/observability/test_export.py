@@ -61,9 +61,9 @@ def test_record_dict_round_trip():
 def test_stream_sink_appends_parseable_lines(tmp_path):
     path = tmp_path / "stream.jsonl"
     sink = JsonlStreamSink(path)
-    spans.add_sink(sink)
+    spans.add_sink(sink.emit, spans.SpanRecord)
     records = sample_records()
-    spans.remove_sink(sink)
+    spans.remove_sink(sink.emit)
     sink.close()
     assert sink.emitted == len(records)
     assert read_jsonl_spans(path) == records
@@ -78,9 +78,9 @@ def test_stream_sink_skips_adopted_duplicates_in_append(tmp_path):
     spans.reset()
     path = tmp_path / "stream.jsonl"
     with JsonlStreamSink(path) as sink:
-        spans.add_sink(sink)
+        spans.add_sink(sink.emit, spans.SpanRecord)
         adopted = spans.adopt(shipped, parent_id=-1)
-        spans.remove_sink(sink)
+        spans.remove_sink(sink.emit)
     streamed = read_jsonl_spans(path)
     assert streamed == adopted
     assert all(record.proc == "worker" for record in streamed)
@@ -90,13 +90,13 @@ def test_disabled_observability_never_touches_sinks(tmp_path):
     """SIEVE_OBS=off keeps the shared no-op span: zero sink I/O."""
     path = tmp_path / "stream.jsonl"
     sink = JsonlStreamSink(path)
-    spans.add_sink(sink)
+    spans.add_sink(sink.emit, spans.SpanRecord)
     state.set_enabled(False)
     with span("invisible", k=1):
         with span("nested"):
             pass
     state.set_enabled(True)
-    spans.remove_sink(sink)
+    spans.remove_sink(sink.emit)
     sink.close()
     assert sink.emitted == 0
     assert path.read_text() == ""

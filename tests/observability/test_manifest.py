@@ -16,6 +16,7 @@ from repro.observability.manifest import (
 )
 from repro.observability.spans import span
 from repro.perfstore.gate import gate_manifests
+from repro.robustness import diagnostics
 
 
 @pytest.fixture(autouse=True)
@@ -67,10 +68,12 @@ def test_self_time_ignores_cross_process_children():
 
 
 def test_collect_manifest_and_round_trip():
+    obs_manifest.record_event("test.before_mark")
+    diagnostics.emit("s", "before mark")
     mark = spans.mark()
-    events_mark = obs_manifest.events_mark()
     metrics.inc("test.counter", 3, kind="x")
     obs_manifest.record_event("test.event", detail="boom")
+    diagnostics.emit("s", "m")
     with span("stage.a", workload="w"):
         _busy(0.002)
     manifest = collect_manifest(
@@ -78,9 +81,7 @@ def test_collect_manifest_and_round_trip():
         config={"cap": 100},
         workloads=[{"workload": "w", "sieve_error": 0.01}],
         aggregates={"avg": 0.01},
-        diagnostics=[{"severity": "warning", "source": "s", "message": "m"}],
         since=mark,
-        events_since=events_mark,
         created="2026-01-01T00:00:00+00:00",
     )
     assert manifest.schema == obs_manifest.MANIFEST_SCHEMA
@@ -91,6 +92,9 @@ def test_collect_manifest_and_round_trip():
         manifest.stage("stage.a").wall_s
     )
     assert manifest.events == ({"kind": "test.event", "detail": "boom"},)
+    assert manifest.diagnostics == (
+        {"severity": "warning", "source": "s", "message": "m"},
+    )
     assert manifest.metrics["counters"] == {"test.counter{kind=x}": 3.0}
 
     restored = RunManifest.from_json(manifest.to_json())
@@ -107,10 +111,11 @@ def test_save_load_file_round_trip(tmp_path):
 
 def test_events_recorded_even_when_disabled():
     state.set_enabled(False)
-    mark = obs_manifest.events_mark()
+    mark = spans.mark()
     obs_manifest.record_event("pool.failure", exception="OSError('x')")
-    events = obs_manifest.events(since=mark)
+    events = spans.window(since=mark, kind=dict)
     assert events == ({"kind": "pool.failure", "exception": "OSError('x')"},)
+    assert collect_manifest("cmd", since=mark).events == events
 
 
 def _manifest(total, stages, workloads=(), aggregates=None):

@@ -148,19 +148,98 @@ def test_adopt_reparents_and_tags_proc():
 
 
 def test_record_cap_drops_oldest():
+    """One cap bounds the ring for every record type."""
+    from repro.observability.manifest import record_event
+    from repro.robustness.diagnostics import Diagnostic, emit
+
+    def produce(kind, i):
+        if kind is spans.SpanRecord:
+            with span(f"s{i}"):
+                pass
+        elif kind is dict:
+            record_event(f"s{i}")
+        else:
+            emit("cap", f"s{i}")
+
+    def name(record):
+        if isinstance(record, spans.SpanRecord):
+            return record.name
+        return record["kind"] if isinstance(record, dict) else record.message
+
     original = spans.MAX_RECORDS
     spans.MAX_RECORDS = 10
     try:
-        for i in range(25):
-            with span(f"s{i}"):
-                pass
-        assert len(spans.records()) == 10
-        assert spans.dropped() == 15
-        assert spans.records()[0].name == "s15"
-        # A stale mark clamps instead of slicing negatively.
-        assert len(spans.records(since=3)) == 10
+        for kind in (spans.SpanRecord, dict, Diagnostic):
+            spans.reset()
+            for i in range(25):
+                produce(kind, i)
+            assert len(spans.window()) == 10
+            assert spans.dropped() == 15
+            assert name(spans.window()[0]) == "s15"
+            # A stale mark clamps instead of slicing negatively.
+            assert len(spans.window(since=3)) == 10
+            # The typed view reads the same bounded ring.
+            assert spans.window(kind=kind) == spans.window()
+        # Records of any type evict the oldest, whatever its type.
+        spans.reset()
+        produce(spans.SpanRecord, 0)
+        for i in range(10):
+            produce(dict, i)
+        assert spans.records() == ()
+        assert spans.dropped() == 1
     finally:
         spans.MAX_RECORDS = original
+
+
+def test_mixed_records_share_one_sequence():
+    """Spans, events and diagnostics interleave in arrival order; the
+    span view skips the others and a mark spans all three."""
+    from repro.observability.manifest import record_event
+    from repro.robustness.diagnostics import Diagnostic, emit
+
+    with span("a"):
+        pass
+    mark = spans.mark()
+    record_event("e")
+    with span("b"):
+        pass
+    emit("d", "m")
+    assert spans.mark() == mark + 3
+    assert [type(r) for r in spans.window(since=mark)] == [dict, spans.SpanRecord, Diagnostic]
+    assert [r.name for r in spans.records(since=mark)] == ["b"]
+    assert [r.name for r in spans.records()] == ["a", "b"]
+
+
+def test_concurrent_publishers_lose_no_records():
+    """Threads publishing spans, events and diagnostics into a ring at
+    its cap: every record is either retained or counted as dropped."""
+    import sys
+
+    from repro.observability.manifest import record_event
+    from repro.robustness.diagnostics import emit
+
+    def publish_many(i):
+        for j in range(300):
+            with span(f"t{i}"):
+                record_event("e", i=i, j=j)
+                emit("stress", f"{i}/{j}")
+
+    original, interval = spans.MAX_RECORDS, sys.getswitchinterval()
+    spans.MAX_RECORDS = 500
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=publish_many, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30.0)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        spans.MAX_RECORDS = original
+    assert spans.mark() == 8 * 300 * 3
+    assert len(spans.window()) == 500
+    assert spans.dropped() == 8 * 300 * 3 - 500
 
 
 def test_disabled_overhead_is_negligible():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.observability import spans
 from repro.robustness import diagnostics
 
 
@@ -29,17 +30,24 @@ def test_capture_is_scoped():
 
 
 def test_records_are_retained_and_clearable():
-    diagnostics.clear()
+    """Diagnostics are retained in the telemetry ring and cleared with it."""
+    spans.reset()
     diagnostics.emit("unit", "kept")
-    assert any(r.message == "kept" for r in diagnostics.records())
-    diagnostics.clear()
-    assert diagnostics.records() == ()
+    assert any(r.message == "kept" for r in spans.window(kind=diagnostics.Diagnostic))
+    spans.reset()
+    assert spans.window(kind=diagnostics.Diagnostic) == ()
 
 
-def test_subscribe_and_unsubscribe():
+def test_sink_add_and_remove():
+    """A ring sink registered for Diagnostic hears emits until removed,
+    and never sees other record types."""
     seen = []
-    unsubscribe = diagnostics.subscribe(seen.append)
-    diagnostics.emit("unit", "heard")
-    unsubscribe()
+    spans.add_sink(seen.append, diagnostics.Diagnostic)
+    try:
+        diagnostics.emit("unit", "heard")
+        with spans.span("not.a.diagnostic"):
+            pass
+    finally:
+        spans.remove_sink(seen.append)
     diagnostics.emit("unit", "unheard")
     assert [r.message for r in seen] == ["heard"]
