@@ -27,7 +27,6 @@ environment:
 
 from __future__ import annotations
 
-import atexit
 import os
 import tempfile
 import time
@@ -52,11 +51,7 @@ _engine: EvaluationEngine | None = None
 
 
 def shared_engine() -> EvaluationEngine:
-    """The evaluation engine every comparison bench routes through.
-
-    Closed via ``atexit`` (idempotent) so shared-memory segments a bench
-    publishes never outlive the pytest process.
-    """
+    """The evaluation engine every comparison bench routes through."""
     global _engine
     if _engine is None:
         configured = os.environ.get("SIEVE_BENCH_CACHE_DIR")
@@ -68,7 +63,6 @@ def shared_engine() -> EvaluationEngine:
         _engine = EvaluationEngine(
             EngineConfig(jobs=JOBS, use_cache=not NO_CACHE, cache_dir=cache_dir)
         )
-        atexit.register(_engine.close)
     return _engine
 
 

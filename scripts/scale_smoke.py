@@ -1,4 +1,4 @@
-"""Scale smoke: cap=100k vectorization gate + shared-memory round trip.
+"""Scale smoke: cap=100k vectorization gate + engine round trip.
 
 Builds one large synthetic workload (default: 2048 kernels x 100 000
 invocations, tier-1/2 heavy so per-kernel bookkeeping rather than the
@@ -12,10 +12,9 @@ KDE inner loop dominates), then:
 * cross-checks the two implementations produce identical strata, golden
   cycle alignments and predictions on that table, so the speedup number
   can never drift away from the correctness it advertises;
-* pushes the same table through the evaluation engine's shared-memory
-  plane (publish -> ``table_ref`` task -> evaluate) and verifies the
-  result matches the in-process evaluation plus the expected
-  ``engine.shm.*`` counters;
+* evaluates the same workload through an evaluation engine with
+  ``--jobs`` workers as an inline-spec task and verifies its predicted
+  cycles equal the in-process prediction;
 * when ``SIEVE_BENCH_MANIFEST_DIR`` is set, writes ``BENCH_scale.json``
   (per-stage wall times + deterministic aggregates); the CI
   ``scale-bench`` job runs the smoke three times and gates the runs
@@ -25,8 +24,8 @@ KDE inner loop dominates), then:
 Timing-derived numbers (the speedups) ride as a manifest event, which
 the gate ignores; the gated surfaces are the *stage wall times* (rank
 test plus practical floor) and the deterministic aggregates
-(strata/representative counts, prediction error, shm counters), which
-must reproduce exactly.
+(strata/representative counts, prediction error), which must
+reproduce exactly.
 
 Usage::
 
@@ -58,7 +57,7 @@ from repro.evaluation.context import build_context
 from repro.evaluation.engine import EngineConfig, EvaluationEngine, EvaluationTask
 from repro.evaluation.imputation import cycles_in_table_order
 from repro.observability import manifest as obs_manifest
-from repro.observability import metrics, span
+from repro.observability import span
 from repro.observability import spans as obs_spans
 from repro.workloads.spec import WorkloadSpec
 
@@ -104,7 +103,6 @@ class ScaleReport:
     num_representatives: int = 0
     predicted_cycles: float = 0.0
     sieve_error: float = 0.0
-    shm_counters: dict[str, int] = field(default_factory=dict)
 
     def speedup(self, stage: str) -> float:
         return self.scalar[stage] / max(self.vectorized[stage], 1e-12)
@@ -200,47 +198,24 @@ def run_scale(
     return report
 
 
-def run_shm_round_trip(report: ScaleReport, jobs: int = 1) -> None:
-    """Evaluate the scale table through the shared-memory engine path."""
+def run_engine_round_trip(report: ScaleReport, jobs: int = 1) -> None:
+    """Evaluate the scale workload through the engine as an inline-spec task.
+
+    The engine must reproduce the prediction :func:`run_scale` made, bit
+    for bit. A lone task runs in process whatever ``jobs`` is, reusing
+    the context :func:`run_scale` memoized; a forked worker would inherit
+    the same context.
+    """
     spec = scale_spec(report.kernels, report.cap)
-    context = build_context(spec.label, spec=spec)
-    registry = metrics.get_registry()
-    before = dict(registry.counters)
-    with span("scale.shm", workload=spec.label):
-        with EvaluationEngine(EngineConfig(jobs=jobs, use_cache=False)) as engine:
-            ref = engine.publish_table(context.pks_table, context.golden)
-            dup = engine.publish_table(context.pks_table, context.golden)
-            assert dup.segment == ref.segment, "identical bundle must dedup"
-            task = EvaluationTask(
-                label=spec.label, methods=("sieve",), table_ref=ref
-            )
-            [result] = engine.run([task])
-            shm_result = result.results["sieve"]
-        assert engine.closed
-    delta = {
-        key.split(".")[-1].split("{")[0]: int(
-            registry.counters.get(key, 0) - before.get(key, 0)
-        )
-        for key in (
-            "engine.shm.published",
-            "engine.shm.publish_dedup",
-            "engine.shm.attach",
-            "engine.shm.attach_miss",
-            "engine.shm.unlinked",
-        )
-    }
-    assert delta["published"] == 1 and delta["publish_dedup"] == 1
-    assert delta["attach"] >= 1 and delta["attach_miss"] == 0
-    assert delta["unlinked"] == 1, "engine close must unlink the segment"
-    report.shm_counters = delta
-    report.sieve_error = float(shm_result.error)
-    # The shared-memory view must reproduce the in-process numbers bit
-    # for bit: same table bytes in, same prediction out.
-    direct = SievePipeline().select(context.sieve_table)
-    direct_prediction = SievePipeline().predict(direct, context.golden)
-    assert np.isclose(
-        shm_result.predicted_cycles, direct_prediction.predicted_cycles, rtol=1e-12
-    ), "shared-memory evaluation diverged from direct evaluation"
+    with span("scale.engine", workload=spec.label):
+        engine = EvaluationEngine(EngineConfig(jobs=jobs, use_cache=False))
+        task = EvaluationTask(label=spec.label, spec=spec, methods=("sieve",))
+        [result] = engine.run([task])
+    sieve = result.results["sieve"]
+    report.sieve_error = float(sieve.error)
+    assert sieve.predicted_cycles == report.predicted_cycles, (
+        "engine evaluation diverged from the in-process prediction"
+    )
 
 
 def write_manifest(report: ScaleReport, mark: tuple[int, float, float]):
@@ -279,10 +254,6 @@ def write_manifest(report: ScaleReport, mark: tuple[int, float, float]):
             "rows": report.rows,
             "num_strata": report.num_strata,
             "num_representatives": report.num_representatives,
-            "shm_published": report.shm_counters.get("published", 0),
-            "shm_attach": report.shm_counters.get("attach", 0),
-            "shm_attach_miss": report.shm_counters.get("attach_miss", 0),
-            "shm_unlinked": report.shm_counters.get("unlinked", 0),
         },
         since=since,
         total_wall_s=time.perf_counter() - wall_start,
@@ -315,9 +286,6 @@ def print_report(report: ScaleReport) -> None:
           f"{report.path_speedup:>8.2f}x")
     print(f"strata={report.num_strata} representatives={report.num_representatives} "
           f"sieve_error={report.sieve_error:.4%}")
-    if report.shm_counters:
-        print("shm counters: " + ", ".join(
-            f"{k}={v}" for k, v in sorted(report.shm_counters.items())))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -329,15 +297,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--min-speedup", type=float, default=DEFAULT_MIN_SPEEDUP,
                         help="fail below this vectorized-path speedup")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="engine workers for the shm round trip")
-    parser.add_argument("--skip-shm", action="store_true",
-                        help="skip the shared-memory engine round trip")
+                        help="engine workers for the engine round trip")
     args = parser.parse_args(argv)
 
     mark = (obs_spans.mark(), time.perf_counter(), time.process_time())
     report = run_scale(args.kernels, args.cap, args.repeats)
-    if not args.skip_shm:
-        run_shm_round_trip(report, jobs=args.jobs)
+    run_engine_round_trip(report, jobs=args.jobs)
     print_report(report)
     path = write_manifest(report, mark)
     if path:

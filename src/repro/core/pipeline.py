@@ -25,22 +25,14 @@ from repro.core.selection import select_representative_row
 from repro.core.stratify import Stratum, stratify_table
 from repro.core.types import Representative, SampleSelection
 from repro.core.weights import stratum_weights
-
-# Shared imputation ladder (see repro.evaluation.imputation); re-exported
-# here because these names predate the shared module.
-from repro.evaluation.imputation import kernel_mean_ipc, measured_ipc_or_none
+from repro.evaluation.imputation import kernel_mean_ipc
 from repro.gpu.hardware import WorkloadMeasurement
 from repro.observability import metrics, span
 from repro.profiling.table import ProfileTable
 from repro.utils.errors import PredictionError, SelectionError
 from repro.utils.validation import require
 
-__all__ = [
-    "SievePipeline",
-    "SieveSelection",
-    "kernel_mean_ipc",
-    "measured_ipc_or_none",
-]
+__all__ = ["SievePipeline", "SieveSelection"]
 
 METHOD_NAME = "sieve"
 
@@ -176,13 +168,14 @@ class SievePipeline:
                     missing.append(int(i))
 
             if missing:
-                usable = [i for i in range(len(reps)) if i not in set(missing)]
-                if not usable:
+                available = np.ones(len(reps), dtype=bool)
+                available[missing] = False
+                if not available.any():
                     raise PredictionError(
                         f"workload {selection.workload!r}: no representative has "
                         "a usable measurement to predict from"
                     )
-                fallback = float(ipc[usable].mean())
+                fallback = float(ipc[available].mean())
                 for i in missing:
                     ipc[i] = fallback
                     metrics.inc("sieve.predict.imputed", reason="workload_mean")

@@ -47,13 +47,6 @@ from repro.evaluation.runner import (
     evaluate_method,
     evaluate_method_streaming,
 )
-from repro.evaluation.shm import (
-    SharedTablePlane,
-    SharedTableRef,
-    attached_context,
-    register_plane,
-    unregister_plane,
-)
 from repro.methods import MethodRequest, get_method
 from repro.observability import manifest as obs_manifest
 from repro.observability import metrics, spans
@@ -126,12 +119,6 @@ class EvaluationTask:
     #: candidates). When set, its ``label`` must equal ``label`` and it
     #: replaces the catalog lookup in both execution and cache keying.
     spec: WorkloadSpec | None = None
-    #: Shared-memory bundle reference (see :mod:`repro.evaluation.shm`)
-    #: for tasks over a materialized profile table. Workers attach the
-    #: segment instead of rebuilding the context from seeds; the ref's
-    #: content digest replaces the spec in the cache key. Mutually
-    #: exclusive with ``spec``.
-    table_ref: SharedTableRef | None = None
     #: When set, each method consumes the profile through its
     #: ``begin_stream`` surface in ``chunk_rows`` slices (optionally with
     #: a bounded per-kernel reservoir) instead of one batch ``select``.
@@ -141,23 +128,11 @@ class EvaluationTask:
 
     def __post_init__(self) -> None:
         require(len(self.methods) >= 1, "task must request a method", EngineError)
-        require(
-            self.spec is None or self.table_ref is None,
-            "a task carries an inline spec or a shared table ref, not both",
-            EngineError,
-        )
         if self.spec is not None:
             require(
                 self.spec.label == self.label,
                 f"inline spec label {self.spec.label!r} does not match "
                 f"task label {self.label!r}",
-                EngineError,
-            )
-        if self.table_ref is not None:
-            require(
-                self.table_ref.workload == self.label,
-                f"shared table workload {self.table_ref.workload!r} does "
-                f"not match task label {self.label!r}",
                 EngineError,
             )
         requests = tuple(
@@ -191,15 +166,7 @@ class EvaluationTask:
         """
         for request in self.methods:
             get_method(request.method)  # typed failure before hashing
-        if self.table_ref is not None:
-            # The digest covers every published array byte, so two refs to
-            # identical data share a key while the volatile segment name
-            # stays out of it (republishing must not invalidate).
-            workload_identity: object = ("shared-table", self.table_ref.digest)
-        elif self.spec is not None:
-            workload_identity = self.spec
-        else:
-            workload_identity = spec_for(self.label)
+        workload_identity = self.spec if self.spec is not None else spec_for(self.label)
         return stable_hash(
             "evaluation-task",
             CACHE_SCHEMA,
@@ -250,12 +217,6 @@ def run_task(task: EvaluationTask) -> dict[str, MethodResult]:
         }
 
     with span("engine.task", workload=task.label):
-        if task.table_ref is not None:
-            # Attach the published segment for exactly the task's
-            # lifetime; results hold their own arrays, so closing the
-            # mapping afterwards is safe (the lifecycle tests pin this).
-            with attached_context(task.table_ref, task.fault_plan) as context:
-                return evaluate(context)
         return evaluate(
             build_context(
                 task.label,
@@ -775,57 +736,18 @@ class EvaluationEngine:
         )
         if self.cache is not None:
             self.cache.on_invalid = lambda key: self.quarantine.strike("cache", key)
-        self._shm = SharedTablePlane()
-        self._closed = False
-        # The plane, not the engine, is what atexit must reap: segments
-        # are kernel objects that outlive a crashed interpreter's heap.
-        register_plane(self._shm)
 
     @property
     def cache_stats(self) -> CacheStats | None:
         return self.cache.stats if self.cache is not None else None
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def publish_table(self, table, golden) -> SharedTableRef:
-        """Publish a (table, golden) bundle for shared-memory tasks.
-
-        Returns a :class:`~repro.evaluation.shm.SharedTableRef` to hang
-        off :class:`EvaluationTask`\\ s. Identical bundles are
-        deduplicated and refcounted; everything still published is
-        unlinked by :meth:`close`.
-        """
-        require(not self._closed, "engine is closed", EngineError)
-        return self._shm.publish(table, golden)
-
-    def release_table(self, ref: SharedTableRef) -> bool:
-        """Drop one publication reference; True when the segment unlinked."""
-        return self._shm.release(ref)
-
     def close(self) -> None:
-        """Unlink every published segment; idempotent, crash-safe.
+        """A no-op: the engine holds no resource to release.
 
-        Registered per-plane with ``atexit`` as a backstop; benches and
-        the service also call it (or use the engine as a context
-        manager) so long-lived processes do not accumulate segments.
+        Workers are forked per attempt and reaped by their supervisor,
+        and cache writes are atomic per entry. Owners may still call it
+        on shutdown.
         """
-        if self._closed:
-            return
-        self._closed = True
-        freed = self._shm.close()
-        unregister_plane(self._shm)
-        if freed:
-            diagnostics.emit(
-                "engine.shm", f"engine close unlinked {freed} shared segments"
-            )
-
-    def __enter__(self) -> "EvaluationEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def run(self, tasks: Sequence[EvaluationTask]) -> list[TaskResult]:
         """Evaluate every task, probing the cache first.

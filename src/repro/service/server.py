@@ -96,7 +96,6 @@ class SieveService:
         from repro.perfstore.store import register_metrics as _register_perfstore
 
         _register_perfstore()
-        self._owns_engine = engine is None
         self.engine = engine or EvaluationEngine(self.config.engine_config())
         self.dispatcher = BatchingDispatcher(
             self.engine,
@@ -144,11 +143,6 @@ class SieveService:
             if self._clients:
                 await asyncio.gather(*self._clients, return_exceptions=True)
             await self.dispatcher.close()
-            if self._owns_engine:
-                # Release shared-memory segments with the server; an
-                # injected engine stays open for its owner (close is
-                # idempotent either way).
-                self.engine.close()
 
     # -------------------------------------------------------- connection IO
 

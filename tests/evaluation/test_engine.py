@@ -20,7 +20,8 @@ from repro.methods import MethodRequest
 from repro.robustness.diagnostics import capture_diagnostics
 from repro.robustness.faults import parse_fault_plan
 from repro.utils.errors import EngineError
-from repro.workloads.catalog import CHALLENGING_SUITES, specs_for_suites
+from repro.workloads.catalog import CHALLENGING_SUITES, spec_for, specs_for_suites
+from repro.workloads.spec import WorkloadSpec
 
 CAP = 800
 LABELS = ["cactus/gru", "cactus/gst"]
@@ -150,6 +151,30 @@ def test_results_byte_identical_across_jobs_for_table_one():
     for left, right in zip(serial, parallel):
         assert left.label == right.label
         assert pickle.dumps(left.results) == pickle.dumps(right.results), left.label
+
+
+def test_inline_spec_task_identical_forked_and_in_process():
+    """A workload outside the catalog reaches a worker only as its inline
+    spec. Forked through ``run_isolated`` (even at jobs=1) and through
+    ``run`` at jobs=2, it must evaluate to the same bytes as in process.
+    The forked paths run first, so the parent holds no memoized context
+    the workers could inherit: they rebuild it from the spec."""
+    specs = [
+        WorkloadSpec(name=f"inline-{i}", suite="synthetic", num_kernels=12,
+                     num_invocations=CAP)
+        for i in range(2)
+    ]
+    for spec in specs:
+        with pytest.raises(KeyError):
+            spec_for(spec.label)
+    tasks = [task_for(spec.label, spec=spec) for spec in specs]
+    engine = EvaluationEngine(EngineConfig(jobs=1, use_cache=False))
+    [isolated] = engine.run_isolated(tasks[:1])
+    assert isolated.ok
+    parallel = EvaluationEngine(EngineConfig(jobs=2, use_cache=False)).run(tasks)
+    in_process = run_task(tasks[0])
+    assert pickle.dumps(isolated.results) == pickle.dumps(in_process)
+    assert pickle.dumps(parallel[0].results) == pickle.dumps(in_process)
 
 
 def test_worker_exception_propagates(tmp_path):

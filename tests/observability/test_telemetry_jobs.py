@@ -67,7 +67,6 @@ def test_capture_sees_worker_diagnostics():
     engine = EvaluationEngine(EngineConfig(jobs=2, use_cache=False))
     with capture_diagnostics() as caught:
         engine.run(tasks)
-    engine.close()
     sources = {record.source for record in caught}
     assert "pks.golden" in sources
     assert any("imputed" in record.message for record in caught)

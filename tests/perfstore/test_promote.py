@@ -17,15 +17,13 @@ from repro.workloads import adversarial
 @pytest.fixture(scope="module")
 def engine(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("promote-engine")
-    engine = EvaluationEngine(
+    return EvaluationEngine(
         EngineConfig(
             jobs=1,
             cache_dir=tmp / "cache",
             quarantine_path=tmp / "quarantine.json",
         )
     )
-    yield engine
-    engine.close()
 
 
 @pytest.fixture(scope="module")
