@@ -28,9 +28,7 @@ from repro.baselines.pca import PCA
 from repro.core.prediction import PredictionResult
 from repro.core.types import Representative, SampleSelection
 
-# Shared imputation ladder (see repro.evaluation.imputation);
-# cycles_in_table_order is re-exported because callers historically
-# imported it from this module.
+# Shared imputation ladder (see repro.evaluation.imputation).
 from repro.evaluation.imputation import (
     cycles_in_table_order,
     kernel_mean_cycles,
@@ -52,7 +50,6 @@ __all__ = [
     "PksConfig",
     "PksPipeline",
     "PksSelection",
-    "cycles_in_table_order",
 ]
 
 

@@ -1,4 +1,4 @@
-"""CSV serialization of profile tables.
+"""CSV serialization of profile tables, and the one profile reader.
 
 Section IV: "The data is converted into a readable CSV file which serves as
 input to PKS and Sieve." This module round-trips :class:`ProfileTable`
@@ -6,11 +6,20 @@ through that CSV format.
 
 The preamble row carries the workload name and the expected invocation-row
 count (``# workload,<name>,rows,<n>``) so truncated files are detectable;
-readers tolerate older files without the count. :func:`read_profile_csv`
-is strict: any malformed row raises :class:`ProfileError` carrying the
-file path and 1-based line number. For a lenient scan that salvages the
-good rows and reports everything wrong, see
-:func:`repro.robustness.validate.validate_profile_csv`.
+readers tolerate older files without the count.
+
+:class:`ProfileTableReader` is the only code that parses profile rows (CSV
+or JSONL) and the only code that assembles parsed rows into a
+:class:`ProfileTable`. Its :meth:`~ProfileTableReader.records` stream
+yields one result per data row, the parsed record or that row's
+:class:`ProfileError`, and the consumer decides how strict to be:
+
+* strict: iterating the reader (chunks for streams),
+  :meth:`~ProfileTableReader.read_table` and :func:`read_profile_csv`
+  raise the first bad row's error, carrying the path and 1-based line
+  number;
+* lenient: :func:`repro.robustness.validate.validate_profile_csv` records
+  every bad row as an issue and salvages the rest.
 """
 
 from __future__ import annotations
@@ -60,56 +69,10 @@ def write_profile_csv(table: ProfileTable, path: str | Path) -> None:
             writer.writerow(record)
 
 
-def parse_preamble(preamble: list[str], path: Path) -> tuple[str, int | None]:
-    """Extract (workload, declared row count) from the preamble row."""
-    require(
-        len(preamble) >= 2 and preamble[0] == "# workload",
-        "missing workload preamble",
-        lambda m: ProfileError(m, path=str(path), row=1),
-    )
-    workload = preamble[1]
-    declared_rows: int | None = None
-    if len(preamble) >= 4 and preamble[2] == "rows":
-        try:
-            declared_rows = int(preamble[3])
-        except ValueError:
-            raise ProfileError(
-                f"unparseable row count {preamble[3]!r}", path=str(path), row=1
-            ) from None
-    return workload, declared_rows
-
-
-def parse_header(header: list[str], path: Path) -> list[str]:
-    """Check the base columns and return the trailing metric columns."""
-    require(
-        tuple(header[: len(_BASE_COLUMNS)]) == _BASE_COLUMNS,
-        f"unexpected CSV columns {header[:len(_BASE_COLUMNS)]!r}",
-        lambda m: ProfileError(m, path=str(path), row=2),
-    )
-    metric_columns = header[len(_BASE_COLUMNS):]
-    unknown = [name for name in metric_columns if name not in PKS_METRIC_NAMES]
-    require(
-        not unknown,
-        f"unknown metric columns {unknown!r}",
-        lambda m: ProfileError(m, path=str(path), row=2),
-    )
-    return metric_columns
-
-
-def parse_data_row(
-    row: list[str], num_metrics: int
-) -> tuple[str, int, int, int, int, list[float]]:
-    """Parse one data row; raises plain ``ValueError`` on any bad field."""
-    expected = len(_BASE_COLUMNS) + num_metrics
-    if len(row) != expected:
-        raise ValueError(f"expected {expected} columns, found {len(row)}")
-    name = row[0]
-    invocation = int(row[1])
-    insn = int(row[2])
-    cta = int(row[3])
-    ctas = int(row[4])
-    metric_values = [float(v) for v in row[5:]]
-    return name, invocation, insn, cta, ctas, metric_values
+#: One parsed data row: kernel name, invocation id, instruction count,
+#: CTA size, CTA count and the row's metric values in file column order
+#: (empty when the feed carries no metric columns).
+ProfileRecord = tuple[str, int, int, int, int, list[float]]
 
 
 def read_profile_csv(path: str | Path) -> ProfileTable:
@@ -120,137 +83,48 @@ def read_profile_csv(path: str | Path) -> ProfileTable:
     that contradicts the preamble (a truncated file) — raises
     :class:`ProfileError` with the file path and 1-based row number.
     """
-    path = Path(path)
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            preamble = next(reader)
-        except StopIteration:
-            raise ProfileError("empty profile CSV", path=str(path)) from None
-        workload, declared_rows = parse_preamble(preamble, path)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ProfileError(
-                "missing header row", path=str(path), row=2
-            ) from None
-        metric_columns = parse_header(header, path)
-        rows = []
-        line_numbers = []
-        for row in reader:
-            rows.append(row)
-            line_numbers.append(reader.line_num)
-
-    require(
-        len(rows) > 0,
-        "profile CSV contains no invocation rows",
-        lambda m: ProfileError(m, path=str(path)),
-    )
-    if declared_rows is not None and declared_rows != len(rows):
-        raise ProfileError(
-            f"row count mismatch: preamble declares {declared_rows} rows, "
-            f"found {len(rows)} (file truncated or rows dropped?)",
-            path=str(path),
-        )
-
-    kernel_names: list[str] = []
-    kernel_index: dict[str, int] = {}
-    kernel_id = np.empty(len(rows), dtype=np.int32)
-    invocation_id = np.empty(len(rows), dtype=np.int64)
-    insn = np.empty(len(rows), dtype=np.int64)
-    cta_size = np.empty(len(rows), dtype=np.int32)
-    num_ctas = np.empty(len(rows), dtype=np.int64)
-    metric_values = (
-        np.empty((len(rows), len(metric_columns)), dtype=np.float64)
-        if metric_columns
-        else None
-    )
-    for i, row in enumerate(rows):
-        try:
-            name, inv, count, cta, ctas, values = parse_data_row(
-                row, len(metric_columns)
-            )
-        except ValueError as exc:
-            raise ProfileError(
-                str(exc), path=str(path), row=line_numbers[i]
-            ) from None
-        if name not in kernel_index:
-            kernel_index[name] = len(kernel_names)
-            kernel_names.append(name)
-        kernel_id[i] = kernel_index[name]
-        invocation_id[i] = inv
-        insn[i] = count
-        cta_size[i] = cta
-        num_ctas[i] = ctas
-        if metric_values is not None:
-            metric_values[i] = values
-
-    metrics = None
-    if metric_values is not None:
-        # Reassemble the full Table II matrix in canonical column order,
-        # reinserting instruction_count from its dedicated column. The
-        # stored columns may appear in any order; all non-instruction
-        # metrics must be present.
-        stored = {name: j for j, name in enumerate(metric_columns)}
-        missing = [
-            name
-            for name in PKS_METRIC_NAMES
-            if name != "instruction_count" and name not in stored
-        ]
-        require(
-            not missing,
-            f"missing metric columns {missing!r}",
-            lambda m: ProfileError(m, path=str(path), row=2),
-        )
-        metrics = np.empty((len(rows), len(PKS_METRIC_NAMES)), dtype=np.float64)
-        for j, name in enumerate(PKS_METRIC_NAMES):
-            if name == "instruction_count":
-                metrics[:, j] = insn.astype(np.float64)
-            else:
-                metrics[:, j] = metric_values[:, stored[name]]
-
-    return ProfileTable(
-        workload=workload,
-        kernel_names=tuple(kernel_names),
-        kernel_id=kernel_id,
-        invocation_id=invocation_id,
-        insn_count=insn,
-        cta_size=cta_size,
-        num_ctas=num_ctas,
-        metrics=metrics,
-    )
+    return ProfileTableReader(path, fmt="csv").read_table()
 
 
-#: JSONL feed fields, one object per invocation row. ``workload`` and
-#: ``rows`` may appear in an optional leading header object instead.
-_JSONL_FIELDS = _BASE_COLUMNS
+def _strict(result: ProfileRecord | ProfileError) -> ProfileRecord:
+    if isinstance(result, ProfileError):
+        raise result
+    return result
 
 
 class ProfileTableReader:
-    """Chunked reader over a profile feed: CSV, JSONL, file or stdin.
+    """The profile reader: CSV or JSONL, from a file, stdin or a handle.
 
-    Yields :class:`ProfileTable` chunks of at most ``chunk_rows`` rows,
-    suitable for a method's ``begin_stream`` surface. The reader keeps one
-    *growing* kernel-name map across chunks, so kernel ids are stable: a
-    name's id in chunk ``k`` equals its id in every later chunk, and each
-    chunk's ``kernel_names`` tuple is the map so far (a prefix-consistent
-    view). Only O(chunk_rows + kernels) rows are resident at any time.
+    Iterating yields :class:`ProfileTable` chunks of at most ``chunk_rows``
+    rows, suitable for a method's ``begin_stream`` surface;
+    :meth:`read_table` returns the whole feed as one table. Both are
+    strict. :meth:`records` is the per-row stream they consume, open to
+    lenient consumers, and :meth:`assemble` turns parsed records into a
+    table.
+
+    The reader keeps one *growing* kernel-name map, so kernel ids are
+    stable: a name's id in chunk ``k`` equals its id in every later chunk,
+    and each chunk's ``kernel_names`` tuple is the map so far (a
+    prefix-consistent view). While iterating, only O(chunk_rows +
+    kernels) rows are resident.
 
     ``source`` is a path, ``"-"`` (stdin), or an open text handle. The
     format is taken from ``fmt`` (``"csv"``/``"jsonl"``), else sniffed:
     a ``.jsonl``/``.ndjson`` suffix or a first byte of ``{`` means JSONL.
 
     * CSV feeds use the :func:`write_profile_csv` layout (preamble +
-      header + rows); trailing metric columns are accepted and dropped —
-      streams consume the Sieve-visible columns.
+      header + rows). Trailing metric columns, when present, must cover
+      every Table II metric but ``instruction_count``; tables then carry
+      the full matrix in canonical order, ``instruction_count`` rebuilt
+      from ``insn_count``.
     * JSONL feeds carry one object per row with keys ``kernel_name``,
       ``invocation_id``, ``insn_count``, ``cta_size``, ``num_ctas``; an
       optional leading ``{"workload": ..., "rows": ...}`` header object
       plays the preamble's role.
 
-    Malformed rows raise :class:`ProfileError` with the 1-based line
-    number. When the feed declared a row count, exhausting it early
-    raises the same truncation error as :func:`read_profile_csv`.
+    Strict reads raise :class:`ProfileError` with the 1-based line number
+    of the first malformed row, and the same truncation error whenever
+    the feed declared a row count it did not deliver.
     """
 
     def __init__(
@@ -273,6 +147,9 @@ class ProfileTableReader:
         self.rows_read = 0
         self._names: list[str] = []
         self._index: dict[str, int] = {}
+        #: Per canonical Table II metric, its file column (``None`` for
+        #: ``instruction_count``); empty when the feed has no metrics.
+        self._metric_layout: list[int | None] = []
         if hasattr(source, "read"):
             self._handle: TextIO = source  # type: ignore[assignment]
             self._path = Path(getattr(source, "name", "<stream>"))
@@ -304,130 +181,197 @@ class ProfileTableReader:
         self._handle = _ChainedText(first_line, rest)
         return "jsonl" if first_line.lstrip()[:1] == "{" else "csv"
 
-    def _register(self, name: str) -> int:
-        slot = self._index.get(name)
-        if slot is None:
-            slot = len(self._names)
-            self._index[name] = slot
-            self._names.append(name)
-        return slot
+    def _error(self, message: str, row: int | None = None) -> ProfileError:
+        return ProfileError(message, path=str(self._path), row=row)
 
-    def _chunk_from(
-        self, parsed: list[tuple[str, int, int, int, int]]
-    ) -> ProfileTable:
-        n = len(parsed)
-        kernel_id = np.empty(n, dtype=np.int32)
-        invocation_id = np.empty(n, dtype=np.int64)
-        insn = np.empty(n, dtype=np.int64)
-        cta_size = np.empty(n, dtype=np.int32)
-        num_ctas = np.empty(n, dtype=np.int64)
-        for i, (name, inv, count, cta, ctas) in enumerate(parsed):
-            kernel_id[i] = self._register(name)
-            invocation_id[i] = inv
-            insn[i] = count
-            cta_size[i] = cta
-            num_ctas[i] = ctas
-        self.rows_read += n
+    def assemble(self, records: list[ProfileRecord]) -> ProfileTable:
+        """Build one table from parsed (non-empty) ``records``.
+
+        Kernels are numbered through the reader's growing map and the
+        metric matrix, if the feed has one, is laid out in canonical
+        Table II order. Counts toward :attr:`rows_read`.
+        """
+        names, invocation_id, insn, cta_size, num_ctas, values = zip(*records)
+        for name in dict.fromkeys(names):  # first-appearance order
+            if name not in self._index:
+                self._index[name] = len(self._names)
+                self._names.append(name)
+        kernel_id = np.fromiter(
+            map(self._index.__getitem__, names), dtype=np.int32, count=len(names)
+        )
+        insn_count = np.array(insn, dtype=np.int64)
+        metrics = None
+        if self._metric_layout:
+            stored = np.array(values, dtype=np.float64)
+            metrics = np.column_stack([
+                insn_count.astype(np.float64) if j is None else stored[:, j]
+                for j in self._metric_layout
+            ])
+        self.rows_read += len(records)
         return ProfileTable(
             workload=self.workload,
             kernel_names=tuple(self._names),
             kernel_id=kernel_id,
-            invocation_id=invocation_id,
-            insn_count=insn,
-            cta_size=cta_size,
-            num_ctas=num_ctas,
+            invocation_id=np.array(invocation_id, dtype=np.int64),
+            insn_count=insn_count,
+            cta_size=np.array(cta_size, dtype=np.int32),
+            num_ctas=np.array(num_ctas, dtype=np.int64),
+            metrics=metrics,
         )
 
-    def __iter__(self) -> Iterator[ProfileTable]:
+    def records(self) -> Iterator[ProfileRecord | ProfileError]:
+        """One result per data row: the parsed record or the row's error.
+
+        A malformed data row is *yielded* as a :class:`ProfileError`
+        carrying its 1-based line number, so the consumer decides whether
+        to stop or skip it. A malformed preamble or header is raised:
+        nothing after it can be read. Closes the source if the reader
+        opened it.
+        """
         try:
-            rows = self._iter_csv() if self._fmt == "csv" else self._iter_jsonl()
-            pending: list[tuple[str, int, int, int, int]] = []
-            for record in rows:
-                pending.append(record)
-                if len(pending) >= self.chunk_rows:
-                    yield self._chunk_from(pending)
-                    pending = []
-            if pending:
-                yield self._chunk_from(pending)
-            if (
-                self.declared_rows is not None
-                and self.rows_read != self.declared_rows
-            ):
-                raise ProfileError(
-                    f"row count mismatch: feed declares {self.declared_rows} "
-                    f"rows, delivered {self.rows_read} (truncated feed?)",
-                    path=str(self._path),
-                )
+            if self._fmt == "csv":
+                yield from self._csv_records()
+            else:
+                yield from self._jsonl_records()
         finally:
             if self._owns_handle:
                 self._handle.close()
 
-    def _iter_csv(self) -> Iterator[tuple[str, int, int, int, int]]:
+    def read_table(self) -> ProfileTable:
+        """The whole feed as one table; malformed input raises."""
+        records = [_strict(result) for result in self.records()]
+        if not records:
+            raise self._error("profile contains no invocation rows")
+        table = self.assemble(records)
+        self._check_row_count()
+        return table
+
+    def __iter__(self) -> Iterator[ProfileTable]:
+        pending: list[ProfileRecord] = []
+        for result in self.records():
+            pending.append(_strict(result))
+            if len(pending) >= self.chunk_rows:
+                yield self.assemble(pending)
+                pending = []
+        if pending:
+            yield self.assemble(pending)
+        self._check_row_count()
+
+    def _check_row_count(self) -> None:
+        if self.declared_rows is not None and self.rows_read != self.declared_rows:
+            raise self._error(
+                f"row count mismatch: declared {self.declared_rows} rows, "
+                f"found {self.rows_read} (truncated or rows dropped?)"
+            )
+
+    def _csv_records(self) -> Iterator[ProfileRecord | ProfileError]:
         reader = csv.reader(self._handle)
-        try:
-            preamble = next(reader)
-        except StopIteration:
-            raise ProfileError("empty profile feed", path=str(self._path)) from None
-        self.workload, self.declared_rows = parse_preamble(preamble, self._path)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ProfileError(
-                "missing header row", path=str(self._path), row=2
-            ) from None
-        metric_columns = parse_header(header, self._path)
+        preamble = next(reader, None)
+        if preamble is None:
+            raise self._error("empty profile CSV")
+        self._read_preamble(preamble)
+        header = next(reader, None)
+        if header is None:
+            raise self._error("missing header row", row=2)
+        self._read_header(header)
+        width = len(header)
         for row in reader:
             try:
-                name, inv, count, cta, ctas, _ = parse_data_row(
-                    row, len(metric_columns)
-                )
+                record: ProfileRecord | ProfileError = _parse_csv_row(row, width)
             except ValueError as exc:
-                raise ProfileError(
-                    str(exc), path=str(self._path), row=reader.line_num
-                ) from None
-            yield name, inv, count, cta, ctas
+                record = self._error(str(exc), row=reader.line_num)
+            yield record
 
-    def _iter_jsonl(self) -> Iterator[tuple[str, int, int, int, int]]:
+    def _read_preamble(self, preamble: list[str]) -> None:
+        if len(preamble) < 2 or preamble[0] != "# workload":
+            raise self._error("missing workload preamble", row=1)
+        self.workload = preamble[1]
+        if len(preamble) >= 4 and preamble[2] == "rows":
+            try:
+                self.declared_rows = int(preamble[3])
+            except ValueError:
+                raise self._error(
+                    f"unparseable row count {preamble[3]!r}", row=1
+                ) from None
+
+    def _read_header(self, header: list[str]) -> None:
+        base = tuple(header[: len(_BASE_COLUMNS)])
+        if base != _BASE_COLUMNS:
+            raise self._error(f"unexpected CSV columns {list(base)!r}", row=2)
+        stored = header[len(_BASE_COLUMNS):]
+        if not stored:
+            return
+        unknown = [name for name in stored if name not in PKS_METRIC_NAMES]
+        if unknown:
+            raise self._error(f"unknown metric columns {unknown!r}", row=2)
+        column = {name: j for j, name in enumerate(stored)}
+        missing = [
+            name
+            for name in PKS_METRIC_NAMES
+            if name != "instruction_count" and name not in column
+        ]
+        if missing:
+            raise self._error(f"missing metric columns {missing!r}", row=2)
+        self._metric_layout = [
+            None if name == "instruction_count" else column[name]
+            for name in PKS_METRIC_NAMES
+        ]
+
+    def _jsonl_records(self) -> Iterator[ProfileRecord | ProfileError]:
         for line_num, line in enumerate(self._handle, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                record = json.loads(line)
+                record = self._parse_json_row(line, line_num)
             except ValueError as exc:
-                raise ProfileError(
-                    f"unparseable JSON: {exc}", path=str(self._path), row=line_num
-                ) from None
-            if not isinstance(record, dict):
-                raise ProfileError(
-                    f"expected a JSON object, got {type(record).__name__}",
-                    path=str(self._path),
-                    row=line_num,
-                )
-            if "kernel_name" not in record:
-                # Leading header object: workload / declared row count.
-                if line_num == 1 and ("workload" in record or "rows" in record):
-                    self.workload = str(record.get("workload", self.workload))
-                    if "rows" in record:
-                        self.declared_rows = int(record["rows"])
-                    continue
-                raise ProfileError(
-                    "row object missing 'kernel_name'",
-                    path=str(self._path),
-                    row=line_num,
-                )
-            try:
-                yield (
-                    str(record["kernel_name"]),
-                    int(record["invocation_id"]),
-                    int(record["insn_count"]),
-                    int(record["cta_size"]),
-                    int(record["num_ctas"]),
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ProfileError(
-                    f"bad row object: {exc!r}", path=str(self._path), row=line_num
-                ) from None
+                record = self._error(str(exc), row=line_num)
+            if record is not None:
+                yield record
+
+    def _parse_json_row(self, line: str, line_num: int) -> ProfileRecord | None:
+        """Parse one JSONL line; ``None`` for the leading header object."""
+        try:
+            record = json.loads(line)
+        except ValueError as exc:
+            raise ValueError(f"unparseable JSON: {exc}") from None
+        if not isinstance(record, dict):
+            raise ValueError(
+                f"expected a JSON object, got {type(record).__name__}"
+            )
+        if "kernel_name" not in record:
+            # Leading header object: workload / declared row count.
+            if line_num == 1 and ("workload" in record or "rows" in record):
+                self.workload = str(record.get("workload", self.workload))
+                if "rows" in record:
+                    self.declared_rows = int(record["rows"])
+                return None
+            raise ValueError("row object missing 'kernel_name'")
+        try:
+            return (
+                str(record["kernel_name"]),
+                int(record["invocation_id"]),
+                int(record["insn_count"]),
+                int(record["cta_size"]),
+                int(record["num_ctas"]),
+                [],
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"bad row object: {exc!r}") from None
+
+
+def _parse_csv_row(row: list[str], width: int) -> ProfileRecord:
+    """Parse one CSV data row; raises plain ``ValueError`` on any bad field."""
+    if len(row) != width:
+        raise ValueError(f"expected {width} columns, found {len(row)}")
+    return (
+        row[0],
+        int(row[1]),
+        int(row[2]),
+        int(row[3]),
+        int(row[4]),
+        list(map(float, row[5:])),
+    )
 
 
 class _ChainedText(io.TextIOBase):

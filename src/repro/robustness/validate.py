@@ -11,9 +11,11 @@ marks *missing* data (invocation-id gaps, truncation) that no repair can
 recreate but that the pipelines tolerate. A report is ``ok`` when it has
 no errors.
 
-:func:`validate_profile_csv` is the lenient file-level twin: it scans a
-CSV row by row, records every malformed row instead of raising, salvages
-the parseable rows into a table and validates that.
+:func:`validate_profile_csv` is the lenient consumer of the one profile
+reader, :class:`~repro.profiling.csv_io.ProfileTableReader`: where the
+strict loader stops at the first malformed row, it records each one as an
+issue, has the reader assemble the rows that parsed (the same table the
+strict loader returns for a clean file) and validates that.
 
 :func:`repair_table` drops or imputes the error-level rows/cells and
 records every action taken; its output always passes
@@ -23,18 +25,13 @@ with hypothesis).
 
 from __future__ import annotations
 
-import csv
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from repro.profiling.csv_io import (
-    parse_data_row,
-    parse_header,
-    parse_preamble,
-)
+from repro.profiling.csv_io import ProfileTableReader
 from repro.profiling.table import ProfileTable
 from repro.utils.errors import ProfileError
 
@@ -158,6 +155,11 @@ def validate_table(
                 row=int(row), kernel=table.kernel_name_of_row(int(row)),
             ))
         negative = np.isfinite(table.metrics) & (table.metrics < 0)
+        if "instruction_count" in table.metric_names:
+            # Where this column mirrors insn_count, its sign is already
+            # reported as nonpositive-insn.
+            col = table.metric_names.index("instruction_count")
+            negative[:, col] &= table.metrics[:, col] != table.insn_count
         for row, col in zip(*np.nonzero(negative)):
             issues.append(ValidationIssue(
                 "negative-metric",
@@ -218,84 +220,36 @@ def validate_profile_csv(
     """
     path = Path(path)
     report = ValidationReport(source=str(path), rows_checked=0)
-
     try:
-        handle = path.open(newline="")
+        reader = ProfileTableReader(path, fmt="csv")
     except OSError as exc:
         report.issues.append(ValidationIssue("unreadable-file", str(exc)))
         return report, None
 
-    with handle:
-        reader = csv.reader(handle)
-        try:
-            preamble = next(reader)
-            workload, declared_rows = parse_preamble(preamble, path)
-            header = next(reader)
-            metric_columns = parse_header(header, path)
-        except StopIteration:
-            report.issues.append(ValidationIssue(
-                "malformed-header", "file ends before preamble/header"
-            ))
-            return report, None
-        except ProfileError as exc:
-            report.issues.append(ValidationIssue(
-                "malformed-header", str(exc), row=exc.row
-            ))
-            return report, None
-
-        parsed = []
-        for row in reader:
+    salvaged = []
+    try:
+        for result in reader.records():
             report.rows_checked += 1
-            try:
-                parsed.append(parse_data_row(row, len(metric_columns)))
-            except ValueError as exc:
+            if isinstance(result, ProfileError):
                 report.issues.append(ValidationIssue(
-                    "malformed-row", str(exc), row=reader.line_num
+                    "malformed-row", result.message, row=result.row
                 ))
+            else:
+                salvaged.append(result)
+    except ProfileError as exc:
+        report.issues.append(ValidationIssue(
+            "malformed-header", str(exc), row=exc.row
+        ))
+        return report, None
 
-    if not parsed:
+    if not salvaged:
         report.issues.append(ValidationIssue(
             "empty-table", "no parseable invocation rows"
         ))
         return report, None
 
-    kernel_names: list[str] = []
-    kernel_index: dict[str, int] = {}
-    n = len(parsed)
-    kernel_id = np.empty(n, dtype=np.int32)
-    invocation_id = np.empty(n, dtype=np.int64)
-    insn = np.empty(n, dtype=np.int64)
-    cta_size = np.empty(n, dtype=np.int32)
-    num_ctas = np.empty(n, dtype=np.int64)
-    metrics = (
-        np.empty((n, len(metric_columns)), dtype=np.float64)
-        if metric_columns
-        else None
-    )
-    for i, (name, inv, count, cta, ctas, values) in enumerate(parsed):
-        if name not in kernel_index:
-            kernel_index[name] = len(kernel_names)
-            kernel_names.append(name)
-        kernel_id[i] = kernel_index[name]
-        invocation_id[i] = inv
-        insn[i] = count
-        cta_size[i] = cta
-        num_ctas[i] = ctas
-        if metrics is not None:
-            metrics[i] = values
-
-    table = ProfileTable(
-        workload=workload,
-        kernel_names=tuple(kernel_names),
-        kernel_id=kernel_id,
-        invocation_id=invocation_id,
-        insn_count=insn,
-        cta_size=cta_size,
-        num_ctas=num_ctas,
-        metrics=metrics,
-        metric_names=tuple(metric_columns) if metric_columns else (),
-    )
-    table_report = validate_table(table, declared_rows=declared_rows)
+    table = reader.assemble(salvaged)
+    table_report = validate_table(table, declared_rows=reader.declared_rows)
     report.issues.extend(table_report.issues)
     return report, table
 

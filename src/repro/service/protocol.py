@@ -19,29 +19,28 @@ Two invariants anchor this module, both pinned by tests:
 
 Requests either reference a catalog workload by label (full registry
 path through the engine: select *and* predict) or carry an inline
-profile table — CSV text through the existing
-:func:`repro.profiling.csv_io.read_profile_csv` loader, or JSON rows —
-which supports selection only (prediction needs a golden reference
-measurement that an uploaded profile does not carry).
+profile table — CSV text read in memory by the strict
+:class:`~repro.profiling.csv_io.ProfileTableReader`, the same reader
+:func:`~repro.profiling.csv_io.read_profile_csv` uses, or JSON rows
+assembled by that reader — which supports selection only (prediction
+needs a golden reference measurement that an uploaded profile does not
+carry).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import json
-import os
 import pickle
-import tempfile
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.core.config import SieveConfig
 from repro.core.pipeline import SievePipeline
 from repro.evaluation.runner import MethodResult
 from repro.methods import MethodRequest, get_method
-from repro.profiling.csv_io import read_profile_csv
+from repro.profiling.csv_io import ProfileTableReader
 from repro.profiling.table import ProfileTable
 from repro.robustness.faults import parse_fault_plan
 from repro.utils.errors import BadRequestError, SieveError
@@ -175,14 +174,7 @@ def table_from_rows(rows: object, workload: str) -> ProfileTable:
     optionally ``invocation_id``, ``cta_size``, ``num_ctas``.
     """
     _require(isinstance(rows, list) and len(rows) > 0, "profile_rows must be a non-empty list")
-    names: list[str] = []
-    index: dict[str, int] = {}
-    n = len(rows)
-    kernel_id = np.empty(n, dtype=np.int32)
-    invocation_id = np.empty(n, dtype=np.int64)
-    insn = np.empty(n, dtype=np.int64)
-    cta_size = np.empty(n, dtype=np.int32)
-    num_ctas = np.empty(n, dtype=np.int64)
+    records = []
     per_kernel_count: dict[str, int] = {}
     for i, row in enumerate(rows):
         _require(isinstance(row, dict), f"profile_rows[{i}] must be an object")
@@ -193,46 +185,34 @@ def table_from_rows(rows: object, workload: str) -> ProfileTable:
             raise BadRequestError(
                 f"profile_rows[{i}] needs kernel_name and integer insn_count: {exc}"
             ) from exc
-        if name not in index:
-            index[name] = len(names)
-            names.append(name)
-        kernel_id[i] = index[name]
         default_invocation = per_kernel_count.get(name, 0)
         per_kernel_count[name] = default_invocation + 1
         try:
-            invocation_id[i] = int(row.get("invocation_id", default_invocation))
-            insn[i] = count
-            cta_size[i] = int(row.get("cta_size", 128))
-            num_ctas[i] = int(row.get("num_ctas", 1))
+            records.append((
+                name,
+                int(row.get("invocation_id", default_invocation)),
+                count,
+                int(row.get("cta_size", 128)),
+                int(row.get("num_ctas", 1)),
+                [],
+            ))
         except (TypeError, ValueError) as exc:
             raise BadRequestError(f"profile_rows[{i}] has a non-integer field: {exc}") from exc
+    # The rows are parsed; the reader only assembles them, so its source
+    # stays empty.
+    reader = ProfileTableReader(io.StringIO(), fmt="jsonl", workload=workload)
     try:
-        return ProfileTable(
-            workload=workload,
-            kernel_names=tuple(names),
-            kernel_id=kernel_id,
-            invocation_id=invocation_id,
-            insn_count=insn,
-            cta_size=cta_size,
-            num_ctas=num_ctas,
-        )
+        return reader.assemble(records)
     except SieveError as exc:
         raise BadRequestError(f"inline profile rejected: {exc}") from exc
 
 
 def table_from_csv(text: str) -> ProfileTable:
-    """Parse inline CSV text through the strict profile-CSV loader."""
+    """Parse inline CSV text in memory through the strict profile reader."""
     _require(isinstance(text, str) and text.strip() != "", "profile_csv must be non-empty text")
-    fd, tmp = tempfile.mkstemp(prefix="service-profile-", suffix=".csv")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        return read_profile_csv(tmp)
-    finally:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    source = io.StringIO(text, newline="")
+    source.name = "profile_csv"  # errors name the request field, not a file
+    return ProfileTableReader(source, fmt="csv").read_table()
 
 
 def parse_request(kind: str, payload: object) -> EvaluationRequest:

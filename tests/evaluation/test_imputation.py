@@ -115,9 +115,3 @@ def test_cycles_in_table_order_workload_mean_last_resort():
     assert cycles.tolist() == [100.0, 300.0, 200.0]
     assert any(record.source == "pks.golden" for record in caught)
 
-
-def test_legacy_reexports_are_the_shared_functions():
-    """The historical import sites keep working and share one definition."""
-    from repro.baselines import pks
-
-    assert pks.cycles_in_table_order is imputation.cycles_in_table_order

@@ -176,6 +176,9 @@ def test_validator_catches_every_csv_fault(pks_table, tmp_path, mode):
         assert kinds.get("nonfinite-metric", 0) >= len(records)
     elif mode == "negative":
         assert kinds.get("nonpositive-insn", 0) >= len(records)
+        # The loaded instruction_count column mirrors insn_count, so a
+        # negated count is reported once, not again as a negative metric.
+        assert "negative-metric" not in kinds
     elif mode == "garble":
         assert kinds.get("malformed-row", 0) + kinds.get(
             "row-count-mismatch", 0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.profiling.csv_io import write_profile_csv
+from repro.profiling.csv_io import read_profile_csv, write_profile_csv
 from repro.profiling.nsight import NsightComputeProfiler
 from repro.profiling.table import ProfileTable
 from repro.robustness.faults import FaultPlan, FaultSpec, inject_table_faults
@@ -159,6 +159,35 @@ def test_validate_csv_clean_round_trip(pks_table, tmp_path):
     report, table = validate_profile_csv(path)
     assert report.clean
     assert table is not None and len(table) == len(pks_table)
+    # The salvaged table is the table the strict loader returns.
+    loaded = read_profile_csv(path)
+    assert table.workload == loaded.workload
+    assert table.kernel_names == loaded.kernel_names
+    for column in (
+        "kernel_id", "invocation_id", "insn_count", "cta_size", "num_ctas",
+        "metrics",
+    ):
+        np.testing.assert_array_equal(
+            getattr(table, column), getattr(loaded, column)
+        )
+    assert table.metric_names == loaded.metric_names
+
+
+def test_validate_csv_flags_missing_metric_column(pks_table, tmp_path):
+    """A file the strict loader rejects is never reported OK."""
+    path = tmp_path / "clean.csv"
+    write_profile_csv(pks_table, path)
+    lines = path.read_text().splitlines()
+    lines = lines[:1] + [line.rsplit(",", 1)[0] for line in lines[1:]]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ProfileError, match="missing metric columns"):
+        read_profile_csv(path)
+    report, table = validate_profile_csv(path)
+    assert not report.ok
+    assert table is None
+    [issue] = report.issues
+    assert issue.kind == "malformed-header" and issue.row == 2
+    assert "missing metric columns" in issue.message
 
 
 def test_validate_csv_salvages_around_malformed_rows(pks_table, tmp_path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pickle
+import tempfile
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.service import protocol
 from repro.utils.errors import (
     BadRequestError,
     FaultInjectionError,
+    ProfileError,
     UnknownMethodError,
 )
 
@@ -127,6 +129,26 @@ def test_inline_csv_select_matches_direct_pipeline(tmp_path):
     served = protocol.select_inline(request)
     direct = get_method("periodic").config_schema().select(read_profile_csv(path))
     assert pickle.dumps(served) == pickle.dumps(direct)
+
+
+def test_malformed_inline_csv_error_names_no_server_path():
+    text = (
+        "# workload,wl,rows,2\n"
+        "kernel_name,invocation_id,insn_count,cta_size,num_ctas\n"
+        "a,0,10,128,4\n"
+        "a,not-an-int,20,128,4\n"
+    )
+    bodies = []
+    for _ in range(2):
+        with pytest.raises(ProfileError) as info:
+            protocol.parse_request(
+                "select", {"method": "sieve", "profile_csv": text}
+            )
+        assert protocol.status_for(info.value) == 400
+        assert info.value.row == 4
+        bodies.append(protocol.canonical_json(protocol.error_payload(info.value)))
+    assert bodies[0] == bodies[1]
+    assert tempfile.gettempdir() not in bodies[0]
 
 
 @pytest.mark.parametrize(

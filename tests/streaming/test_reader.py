@@ -50,16 +50,37 @@ def assert_tables_equal(got, want):
         )
 
 
-@pytest.mark.parametrize("chunk_rows", [1, 64, 500, 5000])
-def test_csv_feed_round_trips_through_chunks(table, tmp_path, chunk_rows):
+@pytest.fixture(scope="module")
+def pks_table():
+    return build_context("cactus/gru", max_invocations=900).pks_table
+
+
+@pytest.mark.parametrize(
+    "chunk_rows, with_metrics",
+    [
+        pytest.param(n, with_metrics, id=f"{n}-metrics" if with_metrics else str(n))
+        for with_metrics in (False, True)
+        for n in (1, 64, 500, 5000)
+    ],
+)
+def test_csv_feed_round_trips_through_chunks(
+    table, pks_table, tmp_path, chunk_rows, with_metrics
+):
+    source = pks_table if with_metrics else table
     path = tmp_path / "feed.csv"
-    write_profile_csv(table, path)
+    write_profile_csv(source, path)
     reader = ProfileTableReader(path, chunk_rows=chunk_rows)
     chunks = list(reader)
     assert all(len(c) <= chunk_rows for c in chunks)
-    assert reader.rows_read == len(table)
-    assert reader.workload == table.workload
-    assert_tables_equal(concat_profile_tables(chunks), read_profile_csv(path))
+    assert reader.rows_read == len(source)
+    assert reader.workload == source.workload
+    merged, loaded = concat_profile_tables(chunks), read_profile_csv(path)
+    assert_tables_equal(merged, loaded)
+    if with_metrics:
+        np.testing.assert_array_equal(merged.metrics, loaded.metrics)
+        np.testing.assert_array_equal(merged.metrics, source.metrics)
+    else:
+        assert merged.metrics is None and loaded.metrics is None
 
 
 def test_kernel_ids_are_prefix_stable_across_chunks(table, tmp_path):
