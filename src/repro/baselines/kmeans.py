@@ -5,6 +5,15 @@ invocations in this (reduced) multi-dimensional workload space" (Section
 II-A). Deterministic given the seed label; supports fitting on a subsample
 and assigning the full population, which keeps million-invocation
 workloads tractable.
+
+:meth:`BisectingKMeans.fit_all` labels the full population against every
+nested snapshot in one blocked pass: each block of
+``_ASSIGN_BLOCK_ROWS`` rows is measured once against the snapshots'
+distinct centroids, and every snapshot takes its argmin over its own
+columns. Working memory is block x distinct centroids instead of one
+n x k distance matrix per snapshot. The per-snapshot loop it replaced is
+:func:`repro.core.reference.bisecting_assign_scalar`; labels and inertia
+are equal to it bit for bit.
 """
 
 from __future__ import annotations
@@ -39,6 +48,58 @@ def _squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     x_sq = np.einsum("ij,ij->i", points, points)[:, None]
     c_sq = np.einsum("ij,ij->i", centroids, centroids)[None, :]
     return np.maximum(x_sq - 2.0 * points @ centroids.T + c_sq, 0.0)
+
+
+# Rows per block of the shared snapshot assignment (at least 2). A block's
+# distances to the ~2 * max_k distinct centroids stay cache-sized (2.5 MB
+# at max_k = 20).
+_ASSIGN_BLOCK_ROWS = 8192
+
+
+def _assign_snapshots(
+    points: np.ndarray, centroids: np.ndarray, snapshots: dict[int, list[int]]
+) -> dict[int, KMeansResult]:
+    """Assign ``points`` to every snapshot, each a list of ``centroids`` rows.
+
+    Each row block's distances to all distinct centroids are computed once;
+    a snapshot's labels are the argmin over its own columns (in snapshot
+    order, so ties break as in a per-snapshot matrix) and its inertia sums
+    the full per-row minimum vector, so the summation order is unchanged.
+    A one-centroid snapshot keeps its own product: its single column goes
+    through gemv, whose bits differ from the shared gemm's.
+    """
+    n = len(points)
+    shared = {k: np.asarray(cols) for k, cols in snapshots.items() if len(cols) > 1}
+    labels = {k: np.empty(n, dtype=np.intp) for k in shared}
+    minima = {k: np.empty(n) for k in shared}
+    start = 0
+    while shared and start < n:
+        # A one-row block's product would go through gemv, not gemm, so a
+        # one-row tail joins the block before it.
+        stop = start + _ASSIGN_BLOCK_ROWS
+        if n - stop <= 1:
+            stop = n
+        block = slice(start, stop)
+        distances = _squared_distances(points[block], centroids)
+        rows = np.arange(len(distances))
+        for k, cols in shared.items():
+            block_labels = distances[:, cols].argmin(axis=1)
+            labels[k][block] = block_labels
+            minima[k][block] = distances[rows, cols[block_labels]]
+        start = stop
+
+    results: dict[int, KMeansResult] = {}
+    for k, cols in snapshots.items():
+        snapshot = centroids[cols]
+        if k in shared:
+            inertia = float(minima.pop(k).sum())
+            results[k] = KMeansResult(snapshot, labels.pop(k), inertia)
+            continue
+        distances = _squared_distances(points, snapshot)
+        single = distances.argmin(axis=1)
+        inertia = float(distances[np.arange(n), single].sum())
+        results[k] = KMeansResult(snapshot, single, inertia)
+    return results
 
 
 class KMeans:
@@ -158,7 +219,13 @@ class BisectingKMeans:
         self.n_init = n_init
 
     def fit_all(self, points: np.ndarray) -> dict[int, KMeansResult]:
-        """Cluster ``points``; returns one nested result per k in 1..max_k."""
+        """Cluster ``points``; returns one nested result per k in 1..max_k.
+
+        The bisections run on the fit sample; the full population is then
+        labelled against all snapshots in one blocked pass
+        (:func:`_assign_snapshots`), holding one block x distinct-centroid
+        distance matrix at a time rather than an n x k matrix per snapshot.
+        """
         points = np.asarray(points, dtype=np.float64)
         require(points.ndim == 2, "expected (n, d) points")
         require(len(points) >= 1, "cannot cluster an empty set")
@@ -170,22 +237,31 @@ class BisectingKMeans:
             fit_points = points[np.sort(chosen)]
 
         # Current partition of the fit sample: list of (member_indices,
-        # centroid, inertia).
+        # centroid column, inertia). Every centroid ever formed is a row of
+        # ``distinct``; the snapshots are nested, so max_k snapshots share
+        # only 2 * max_k - 1 of them.
         all_indices = np.arange(len(fit_points))
         centroid = fit_points.mean(axis=0)
         inertia = float(((fit_points - centroid) ** 2).sum())
-        clusters: list[tuple[np.ndarray, np.ndarray, float]] = [
-            (all_indices, centroid, inertia)
-        ]
+        distinct = [centroid]
+        clusters: list[tuple[np.ndarray, int, float]] = [(all_indices, 0, inertia)]
+        # Columns of clusters that 2-means cannot bisect (identical points);
+        # retrying them would pick the same cluster forever.
+        indivisible: set[int] = set()
 
-        snapshots: dict[int, np.ndarray] = {1: np.array([centroid])}
+        snapshots: dict[int, list[int]] = {1: [0]}
         while len(clusters) < min(self.max_k, len(fit_points)):
             # Bisect the cluster with the largest inertia (skip singletons).
-            splittable = [i for i, c in enumerate(clusters) if len(c[0]) >= 2]
+            splittable = [
+                i
+                for i, c in enumerate(clusters)
+                if len(c[0]) >= 2 and c[1] not in indivisible
+            ]
             if not splittable:
                 break
             target = max(splittable, key=lambda i: clusters[i][2])
-            members, _, _ = clusters.pop(target)
+            parent = clusters.pop(target)
+            members, column, _ = parent
             two_means = KMeans(
                 2,
                 seed_label=f"{self.seed_label}/bisect{len(clusters)}",
@@ -193,22 +269,17 @@ class BisectingKMeans:
                 fit_sample_size=None,
                 n_init=self.n_init,
             ).fit(fit_points[members])
-            for half in (0, 1):
-                rows = members[two_means.labels == half]
-                if len(rows) == 0:
-                    continue
+            halves = [members[two_means.labels == half] for half in (0, 1)]
+            if not all(len(rows) for rows in halves):
+                indivisible.add(column)
+                clusters.insert(target, parent)
+                continue
+            for rows in halves:
                 sub_centroid = fit_points[rows].mean(axis=0)
                 sub_inertia = float(((fit_points[rows] - sub_centroid) ** 2).sum())
-                clusters.append((rows, sub_centroid, sub_inertia))
-            snapshots[len(clusters)] = np.array([c[1] for c in clusters])
+                distinct.append(sub_centroid)
+                clusters.append((rows, len(distinct) - 1, sub_inertia))
+            snapshots[len(clusters)] = [c[1] for c in clusters]
 
-        # Assign the full population against each snapshot's centroids.
-        results: dict[int, KMeansResult] = {}
-        for k, centroids in snapshots.items():
-            distances = _squared_distances(points, centroids)
-            labels = distances.argmin(axis=1)
-            inertia = float(distances[np.arange(len(points)), labels].sum())
-            results[k] = KMeansResult(
-                centroids=centroids, labels=labels, inertia=inertia
-            )
-        return results
+        # Assign the full population against every snapshot's centroids.
+        return _assign_snapshots(points, np.array(distinct), snapshots)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 import repro.robustness.diagnostics as diagnostics
-from repro.baselines.kmeans import BisectingKMeans
+from repro.baselines.kmeans import BisectingKMeans, KMeansResult
 from repro.baselines.pca import PCA
 from repro.core.prediction import PredictionResult
 from repro.core.types import Representative, SampleSelection
@@ -139,20 +139,65 @@ class PksPipeline:
             members.append(cluster_rows)
         return rows, members
 
+    def _cluster_picks(
+        self, table: ProfileTable, projected: np.ndarray, clustering: KMeansResult
+    ) -> tuple[list[int], list[int]]:
+        """Representative row and size of every non-empty cluster, ascending.
+
+        Scoring a candidate k needs no member lists. Under ``first`` the
+        sizes come from one ``bincount`` and the rows from a first-occurrence
+        reduction; ``random`` and ``centroid`` pick through
+        :meth:`_representative_rows`, which the winning k uses for every
+        policy.
+        """
+        labels, k = clustering.labels, clustering.k
+        if self.config.selection_policy != "first":
+            rows, members = self._representative_rows(
+                table, projected, labels, clustering.centroids
+            )
+            return rows, [len(cluster_rows) for cluster_rows in members]
+        counts = np.bincount(labels, minlength=k)
+        first = np.full(k, len(labels), dtype=np.intp)
+        np.minimum.at(first, labels, np.arange(len(labels)))
+        present = counts > 0
+        return first[present].tolist(), counts[present].tolist()
+
     def _predicted_cycles(
-        self,
-        table: ProfileTable,
-        rows: list[int],
-        members: list[np.ndarray],
-        cycles_by_row: np.ndarray,
+        self, rows: list[int], counts: list[int], cycles_by_row: np.ndarray
     ) -> float:
         """Invocation-count-weighted sum of representative cycle counts."""
         return float(
-            sum(
-                len(cluster_rows) * cycles_by_row[row]
-                for row, cluster_rows in zip(rows, members)
-            )
+            sum(count * cycles_by_row[row] for row, count in zip(rows, counts))
         )
+
+    def _choose_k(
+        self,
+        table: ProfileTable,
+        projected: np.ndarray,
+        clusterings: dict[int, KMeansResult],
+        cycles_by_row: np.ndarray,
+        measured_total: float,
+    ) -> tuple[float, int, list[int], list[np.ndarray]]:
+        """Score every candidate k from cluster counts; keep the best error.
+
+        Member arrays are built once, for the winning k. Scalar original:
+        :func:`repro.core.reference.pks_choose_k_scalar`.
+        """
+        best: tuple[float, int] | None = None
+        candidate_ks = [k for k in sorted(clusterings) if k >= 2] or [1]
+        for k in candidate_ks:
+            rows, counts = self._cluster_picks(table, projected, clusterings[k])
+            predicted = self._predicted_cycles(rows, counts, cycles_by_row)
+            error = abs(predicted - measured_total) / measured_total
+            if best is None or error < best[0]:
+                best = (error, k)
+        assert best is not None
+        error, chosen_k = best
+        winner = clusterings[chosen_k]
+        rows, members = self._representative_rows(
+            table, projected, winner.labels, winner.centroids
+        )
+        return error, chosen_k, rows, members
 
     def _search_clusterings(
         self, table: ProfileTable, golden: WorkloadMeasurement
@@ -172,7 +217,6 @@ class PksPipeline:
             SelectionError,
         )
 
-        best: tuple[float, int, list[int], list[np.ndarray]] | None = None
         max_k = min(self.config.max_k, len(table))
         with span("pks.kmeans", workload=table.workload, max_k=max_k):
             clusterings = BisectingKMeans(
@@ -182,20 +226,9 @@ class PksPipeline:
                 fit_sample_size=self.config.kmeans_fit_sample,
             ).fit_all(projected)
         with span("pks.choose_k", workload=table.workload):
-            candidate_ks = [k for k in sorted(clusterings) if k >= 2] or [1]
-            for k in candidate_ks:
-                clustering = clusterings[k]
-                rows, members = self._representative_rows(
-                    table, projected, clustering.labels, clustering.centroids
-                )
-                predicted = self._predicted_cycles(
-                    table, rows, members, cycles_by_row
-                )
-                error = abs(predicted - measured_total) / measured_total
-                if best is None or error < best[0]:
-                    best = (error, k, rows, members)
-        assert best is not None
-        return best
+            return self._choose_k(
+                table, projected, clusterings, cycles_by_row, measured_total
+            )
 
     # ------------------------------------------------------------------ #
 

@@ -1,10 +1,10 @@
 """Retained scalar reference implementations of the vectorized hot paths.
 
 The profile-side math (stratify/CoV, KDE splits, golden-cycle alignment,
-the harmonic-mean predictor, PKS cluster bookkeeping) runs as grouped
-numpy array ops since the vectorization pass. These are the *pre-
-vectorization* per-kernel / per-row Python loops, kept verbatim (minus
-telemetry emission) for two reasons:
+the harmonic-mean predictor, PKS cluster bookkeeping, k-means snapshot
+assignment and PKS's choice of k) runs as grouped or blocked numpy array
+ops. These are the original per-kernel / per-row / per-snapshot loops,
+kept verbatim (minus telemetry emission) for two reasons:
 
 * the hypothesis property tests in
   ``tests/core/test_vectorized_reference.py`` pin every vectorized path
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.baselines.kmeans import KMeansResult, _squared_distances
 from repro.core.config import SieveConfig
 from repro.core.kde import kde_strata
 from repro.core.prediction import PredictionResult, predict_cycles, predict_ipc
@@ -199,3 +200,52 @@ def pks_representative_rows_scalar(
         rows.append(row)
         members.append(cluster_rows)
     return rows, members
+
+
+def pks_choose_k_scalar(
+    table: ProfileTable,
+    projected: np.ndarray,
+    clusterings: dict[int, KMeansResult],
+    cycles_by_row: np.ndarray,
+    policy: str,
+) -> tuple[dict[int, float], int, list[int], list[np.ndarray]]:
+    """Member-array PKS k search: every candidate k builds its clusters.
+
+    Returns each candidate k's golden-reference error, then the chosen k
+    with its representative rows and cluster members.
+    """
+    measured_total = float(cycles_by_row.sum())
+    errors: dict[int, float] = {}
+    best: tuple[float, int, list[int], list[np.ndarray]] | None = None
+    for k in [k for k in sorted(clusterings) if k >= 2] or [1]:
+        clustering = clusterings[k]
+        rows, members = pks_representative_rows_scalar(
+            table, projected, clustering.labels, clustering.centroids, policy
+        )
+        predicted = float(
+            sum(
+                len(cluster_rows) * cycles_by_row[row]
+                for row, cluster_rows in zip(rows, members)
+            )
+        )
+        error = abs(predicted - measured_total) / measured_total
+        errors[k] = error
+        if best is None or error < best[0]:
+            best = (error, k, rows, members)
+    assert best is not None
+    return errors, best[1], best[2], best[3]
+
+
+def bisecting_assign_scalar(
+    points: np.ndarray, snapshots: dict[int, np.ndarray]
+) -> dict[int, KMeansResult]:
+    """Per-snapshot full-population assignment: one n x k matrix per k."""
+    results: dict[int, KMeansResult] = {}
+    for k, centroids in snapshots.items():
+        distances = _squared_distances(points, centroids)
+        labels = distances.argmin(axis=1)
+        inertia = float(distances[np.arange(len(points)), labels].sum())
+        results[k] = KMeansResult(
+            centroids=centroids, labels=labels, inertia=inertia
+        )
+    return results

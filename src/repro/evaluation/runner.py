@@ -57,7 +57,8 @@ def _score_selection(
     prediction = method.predict(selection, context.golden, config)
     cycles = cycles_in_table_order(method.profile_table(context), context.golden)
     cov = weighted_cycle_cov(method.group_rows(selection), cycles)
-    attribution = attribute_error(method, selection, prediction, context, config)
+    with span("evaluate.attribute", workload=context.label, method=method_name):
+        attribution = attribute_error(method, selection, prediction, context, config)
     # Accuracy is judged against the *clean* reference (context.truth);
     # under fault injection it differs from the corrupted context.golden
     # the method consumed.

@@ -282,10 +282,24 @@ def _per_group(
     covered = (
         np.concatenate(groups) if groups else np.empty(0, dtype=np.int64)
     )
-    partitions = len(covered) == len(table) and len(np.unique(covered)) == len(
-        table
-    )
-    return tuple(rows), bool(partitions)
+    return tuple(rows), _covers_each_row_once(covered, len(table))
+
+
+def _covers_each_row_once(covered: np.ndarray, num_rows: int) -> bool:
+    """Whether ``covered`` lists every row index in ``[0, num_rows)`` once.
+
+    ``num_rows`` in-range indices that mark every row seen are exactly a
+    permutation of the rows; an index outside the range never is.
+    """
+    if len(covered) != num_rows:
+        return False
+    if num_rows == 0:
+        return True
+    if covered.min() < 0 or covered.max() >= num_rows:
+        return False
+    seen = np.zeros(num_rows, dtype=bool)
+    seen[covered.astype(np.intp, copy=False)] = True
+    return bool(seen.all())
 
 
 # --------------------------------------------------------------------- #

@@ -92,3 +92,13 @@ class TestBisectingKMeans:
         points = np.array([[0.0], [5.0], [10.0]])
         results = BisectingKMeans(10, seed_label="tiny").fit_all(points)
         assert max(results) == 3
+
+    def test_identical_points_stop_splitting(self):
+        """2-means cannot bisect identical points; the search must stop
+        instead of picking the same cluster forever."""
+        results = BisectingKMeans(4, seed_label="same").fit_all(np.zeros((5, 2)))
+        assert list(results) == [1]
+        pairs = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
+        results = BisectingKMeans(4, seed_label="pairs").fit_all(pairs)
+        assert sorted(results) == [1, 2]
+        assert results[2].inertia == 0.0

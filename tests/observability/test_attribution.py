@@ -8,6 +8,7 @@ attribution is a partition of the error, not an approximation of it.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,11 @@ from repro.core.config import SieveConfig
 from repro.evaluation.context import build_context
 from repro.evaluation.runner import evaluate_method
 from repro.methods.registry import get_method
-from repro.observability.attribution import ErrorAttribution, attribute_error
+from repro.observability.attribution import (
+    ErrorAttribution,
+    _covers_each_row_once,
+    attribute_error,
+)
 
 METHODS = ("sieve", "pks", "pks-two-level", "periodic", "random")
 POOL = ("cactus/gru", "cactus/lmc", "mlperf/bert")
@@ -102,6 +107,51 @@ def test_pks_groups_partition(small_context):
     assert len(attribution.per_group) == len(
         evaluate_method("pks", small_context).selection.representatives
     )
+
+
+class _AliasedLastRow:
+    """PKS whose groups name the table's last row as -1 instead of n - 1."""
+
+    def __init__(self, num_rows):
+        self._pks = get_method("pks")
+        self._num_rows = num_rows
+
+    def __getattr__(self, name):
+        return getattr(self._pks, name)
+
+    def group_rows(self, selection):
+        for rows in self._pks.group_rows(selection):
+            yield np.where(rows == self._num_rows - 1, -1, rows)
+
+
+def test_negative_group_rows_do_not_partition(small_context):
+    """A negative index aliases a real row when indexed, but it is not a
+    row of the table, so the groups do not partition it."""
+    pks = get_method("pks")
+    config = pks.default_config()
+    selection = pks.select(small_context, config)
+    prediction = pks.predict(selection, small_context.golden, config)
+    num_rows = len(pks.profile_table(small_context))
+    aliased = _AliasedLastRow(num_rows)
+    assert attribute_error(pks, selection, prediction, small_context).groups_partition
+    attribution = attribute_error(aliased, selection, prediction, small_context)
+    assert not attribution.groups_partition
+
+
+@pytest.mark.parametrize(
+    "covered, partitions",
+    [
+        ([0, 1, 2, 3, 4], True),
+        ([4, 2, 0, 3, 1], True),
+        ([0, 1, 2, 3, 7], False),
+        ([0, 1, 2, 3, -1], False),
+        ([0, 1, 2, 3, 3], False),
+        ([0, 1, 2, 3], False),
+    ],
+)
+def test_partition_check_needs_each_row_exactly_once(covered, partitions):
+    covered = np.asarray(covered, dtype=np.int64)
+    assert _covers_each_row_once(covered, 5) is partitions
 
 
 def test_attribution_round_trips_through_dict(small_context):

@@ -63,6 +63,9 @@ def test_manifest_self_times_sum_to_total(manifest_path):
     # The instrumentation covers the real pipeline stages, not just a shell.
     names = {stage.name for stage in manifest.stages}
     assert {"cli.compare", "engine.task", "sieve.stratify", "pks.select"} <= names
+    # Error attribution is its own stage under evaluate.*, not unexplained
+    # self time of the per-method evaluate span.
+    assert "evaluate.attribute" in names
 
 
 def test_report_renders_single_manifest(manifest_path, capsys):
